@@ -44,7 +44,6 @@ from .partition import (
     expected_pairwise_distance_integral,
     fixed_point,
     partition_average,
-    partition_expectation,
     partition_of_union,
     subset_generate,
 )

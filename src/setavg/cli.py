@@ -28,15 +28,13 @@ from .operators import (
     decasteljau_naive,
     decasteljau_svf,
     positive_operator,
+    uniform_nodes,
 )
 from .partition import AverageConfig, CENTROID_OF_UNION, PER_ELEMENT_CENTROID, fixed_point
 from .raster import (
     Ellipse,
-    Point2 as RasterPoint,
-    RasterSet,
     Rectangle,
     Triangle,
-    cell_signatures,
     raster_partition_average,
     rasterize,
     write_pgm,
@@ -59,17 +57,26 @@ def _fmt(q, exact: bool) -> str:
     return str(q) if exact else f"{float(q):.12g}"
 
 
-@click.group()
+class _Main(click.Group):
+    """Reports the library's input errors as usage errors: exit code 2 and
+    a one-line message instead of a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, TypeError) as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+
+
+@click.group(cls=_Main)
 @click.option("--ref-point", default="centroid", show_default=True,
               help="centroid | per-element | a rational fixed point")
-@click.option("--seed", default=0, show_default=True, help="seed for randomized runs")
 @click.option("--exact", is_flag=True, help="print rationals as p/q")
 @click.pass_context
-def main(ctx, ref_point, seed, exact):
+def main(ctx, ref_point, exact):
     """Exact partition averages of interval sets and set-valued operators."""
     ctx.ensure_object(dict)
     ctx.obj["cfg"] = parse_ref_point(ref_point)
-    ctx.obj["seed"] = seed
     ctx.obj["exact"] = exact
 
 
@@ -95,8 +102,7 @@ def _svf_command_output(ctx, F, n, x, result):
     exact = ctx.obj["exact"]
     click.echo(format_set_literal(result))
     click.echo(f"measure: {_fmt(measure(result), exact)}")
-    for i in range(n + 1):
-        node = Fraction(i, n)
+    for node in uniform_nodes(n):
         d = sym_diff_distance(F(node), result)
         click.echo(f"d(F({node}), result) = {_fmt(d, exact)}")
 
@@ -173,15 +179,15 @@ def multivar(ctx, points_file, levels, svf, query):
 def _parse_shape(entry: dict):
     kind = entry["type"]
     if kind == "triangle":
-        a, b, c = (RasterPoint(Fraction(str(x)), Fraction(str(y))) for x, y in entry["points"])
+        a, b, c = (Point2(Fraction(str(x)), Fraction(str(y))) for x, y in entry["points"])
         return Triangle(a, b, c)
     if kind == "rectangle":
-        lo, hi = (RasterPoint(Fraction(str(x)), Fraction(str(y))) for x, y in entry["corners"])
+        lo, hi = (Point2(Fraction(str(x)), Fraction(str(y))) for x, y in entry["corners"])
         return Rectangle(lo, hi)
     if kind == "ellipse":
         cx, cy = entry["center"]
         ax, ay = entry["semi_axes"]
-        return Ellipse(RasterPoint(Fraction(str(cx)), Fraction(str(cy))),
+        return Ellipse(Point2(Fraction(str(cx)), Fraction(str(cy))),
                        Fraction(str(ax)), Fraction(str(ay)))
     raise ValueError(f"unknown shape type: {kind!r}")
 
@@ -211,14 +217,15 @@ def raster(ctx, shapes_file, weights, cell_size, grid, out_path):
         write_pgm(rasters, out_path)
     else:
         union_cells = frozenset().union(*(r.cells for r in rasters))
-        union_raster = RasterSet((x0, y0), h, width, height, union_cells)
+        if not union_cells:
+            raise ValueError(f"no grid cell has its center inside a shape at --h {h}")
         cx = sum(
             (x0 + (col + Fraction(1, 2)) * h for _, col in union_cells), Fraction(0)
         ) / len(union_cells)
         cy = sum(
             (y0 + (row + Fraction(1, 2)) * h for row, _ in union_cells), Fraction(0)
         ) / len(union_cells)
-        avg = raster_partition_average(rasters, w, RasterPoint(cx, cy))
+        avg = raster_partition_average(rasters, w, Point2(cx, cy))
         write_pgm(avg, out_path)
         click.echo(f"measure: {_fmt(avg.measure(), ctx.obj['exact'])}")
     click.echo(f"wrote {out_path}")

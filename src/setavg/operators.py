@@ -57,7 +57,7 @@ class RealSpace:
         return abs(a - b)
 
     def weighted_average(self, points, weights) -> Fraction:
-        w = check_weights(weights)
+        w = check_weights(weights, len(points))
         return sum((wi * p for wi, p in zip(w, points) if wi), Fraction(0))
 
 
@@ -79,6 +79,13 @@ class SampledSVF:
 
     def __call__(self, x) -> IntervalSet:
         return self.evaluate(Fraction(x))
+
+
+def uniform_nodes(n: int) -> list[Fraction]:
+    """The node grid i/n, i = 0..n, of a degree-n operator."""
+    if n < 1:
+        raise ValueError(f"degree must be >= 1, got {n}")
+    return [Fraction(i, n) for i in range(n + 1)]
 
 
 def bernstein_weights(n: int, x) -> tuple[Fraction, ...]:
@@ -105,7 +112,7 @@ class BernsteinScheme:
     name = "bernstein"
 
     def nodes(self, n: int) -> list[Fraction]:
-        return [Fraction(i, n) for i in range(n + 1)]
+        return uniform_nodes(n)
 
     def weights(self, n: int, x) -> tuple[Fraction, ...]:
         return bernstein_weights(n, x)
@@ -118,12 +125,14 @@ class PiecewiseLinearScheme:
     name = "pl"
 
     def nodes(self, n: int) -> list[Fraction]:
-        return [Fraction(i, n) for i in range(n + 1)]
+        return uniform_nodes(n)
 
     def weights(self, n: int, x) -> tuple[Fraction, ...]:
         x = Fraction(x)
         if not (0 <= x <= 1):
             raise ValueError(f"x must lie in [0, 1], got {x}")
+        if n < 1:
+            raise ValueError("degree must be >= 1")
         w = [Fraction(0)] * (n + 1)
         scaled = x * n
         k = min(int(scaled), n - 1)
@@ -144,9 +153,7 @@ def bernstein_svf(
 ) -> IntervalSet:
     """Set-valued Bernstein operator: the partition average of the samples
     F(i/n) with the binomial weights."""
-    x = Fraction(x)
-    samples = [F(Fraction(i, n)) for i in range(n + 1)]
-    return partition_average(samples, bernstein_weights(n, x), cfg)
+    return positive_operator(F, BERNSTEIN_SCHEME, n, x, IntervalSetSpace(cfg))
 
 
 def decasteljau_svf(
@@ -161,7 +168,7 @@ def decasteljau_svf(
     average of sample distances.
     """
     x = Fraction(x)
-    samples = [F(Fraction(i, n)) for i in range(n + 1)]
+    samples = [F(node) for node in uniform_nodes(n)]
     zero = [Fraction(0)] * (n + 1)
 
     def tilde_average(a: IntervalSet, b: IntervalSet) -> IntervalSet:
@@ -180,7 +187,7 @@ def decasteljau_naive(
     average is not associative this differs from the Bernstein operator and
     is not expected to converge; shipped for demonstration only."""
     x = Fraction(x)
-    level = [F(Fraction(i, n)) for i in range(n + 1)]
+    level = [F(node) for node in uniform_nodes(n)]
     while len(level) > 1:
         level = [
             partition_average([level[i], level[i + 1]], [1 - x, x], cfg)

@@ -13,18 +13,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .intervals import (
     EMPTY,
     IntervalSet,
+    as_rational,
     canonicalize,
     centroid,
     measure,
     sym_diff_distance,
 )
-
-Signature = frozenset
 
 
 @dataclass(frozen=True)
@@ -66,8 +65,12 @@ def fixed_point(p) -> AverageConfig:
     return AverageConfig("fixed", Fraction(p))
 
 
-def check_weights(weights: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    w = tuple(Fraction(x) for x in weights)
+def check_weights(weights: Sequence[Fraction], count: int) -> tuple[Fraction, ...]:
+    """The one weight check: exactly `count` exact rationals, each >= 0,
+    summing to 1 exactly.  Floats raise TypeError."""
+    w = tuple(as_rational(x) for x in weights)
+    if len(w) != count:
+        raise ValueError(f"need one weight per input: {len(w)} weights for {count} inputs")
     if any(x < 0 for x in w):
         raise ValueError("weights must be nonnegative")
     if sum(w) != 1:
@@ -75,24 +78,37 @@ def check_weights(weights: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return w
 
 
+def group_by_signature(covers: Iterable[Iterable[Hashable]]) -> dict[frozenset[int], list]:
+    """Group atoms by their covering signature.  Input i lists the atoms it
+    covers, each at most once; the result maps each nonempty set of covering
+    indices to the atoms carrying exactly that signature."""
+    owners: dict[Hashable, list[int]] = {}
+    for i, atoms in enumerate(covers):
+        for atom in atoms:
+            owners.setdefault(atom, []).append(i)
+    groups: dict[frozenset[int], list] = {}
+    for atom, indices in owners.items():
+        groups.setdefault(frozenset(indices), []).append(atom)
+    return groups
+
+
 def partition_of_union(sets: Sequence[IntervalSet]) -> Partition:
     """Sweep over sorted interval endpoints; each elementary segment gets
-    the signature of the sets containing its midpoint.  Segments sharing a
-    signature are grouped into one canonical region.  Empty signatures
-    (the complement of the union) are never materialized."""
+    the signature of the sets covering it.  Segments sharing a signature
+    are grouped into one canonical region.  Empty signatures (the
+    complement of the union) are never materialized."""
     sets = tuple(sets)
     if not sets:
         raise ValueError("partition of an empty collection of sets")
     breakpoints = sorted({e for s in sets for a, b in s.intervals for e in (a, b)})
-    by_signature: dict[frozenset[int], list[tuple[Fraction, Fraction]]] = {}
-    for lo, hi in zip(breakpoints, breakpoints[1:]):
-        mid = (lo + hi) / 2
-        sig = frozenset(i for i, s in enumerate(sets) if mid in s)
-        if sig:
-            by_signature.setdefault(sig, []).append((lo, hi))
+    index = {e: k for k, e in enumerate(breakpoints)}
+    # segment k is [breakpoints[k], breakpoints[k + 1]]
+    groups = group_by_signature(
+        [k for a, b in s.intervals for k in range(index[a], index[b])] for s in sets
+    )
     elements = tuple(
-        PartitionElement(sig, canonicalize(segs))
-        for sig, segs in sorted(by_signature.items(), key=lambda kv: sorted(kv[0]))
+        PartitionElement(sig, canonicalize((breakpoints[k], breakpoints[k + 1]) for k in segs))
+        for sig, segs in sorted(groups.items(), key=lambda kv: sorted(kv[0]))
     )
     return Partition(sets, elements)
 
@@ -101,11 +117,13 @@ def coverage_values(
     partition: Partition, weights: Sequence[Fraction]
 ) -> list[tuple[frozenset[int], Fraction]]:
     """Per-element coverage: the summed weight of the covering sets."""
-    w = tuple(Fraction(x) for x in weights)
-    if len(w) != len(partition.sets):
-        raise ValueError("one weight per input set required")
+    w = check_weights(weights, len(partition.sets))
+    # common-denominator numerators keep the sums in int arithmetic; with
+    # many sets (large operator degrees) this dominates
+    denom = math.lcm(*(x.denominator for x in w))
+    nums = [x.numerator * (denom // x.denominator) for x in w]
     return [
-        (el.signature, sum((w[i] for i in el.signature), Fraction(0)))
+        (el.signature, Fraction(sum(nums[i] for i in el.signature), denom))
         for el in partition.elements
     ]
 
@@ -160,37 +178,19 @@ def partition_average(
     cfg: AverageConfig = CENTROID_OF_UNION,
 ) -> IntervalSet:
     """Weighted average of interval sets built on the partition of the union."""
-    sets = tuple(sets)
-    w = check_weights(weights)
-    if len(sets) != len(w):
-        raise ValueError("need exactly one weight per set")
-    all_union = canonicalize([iv for s in sets for iv in s.intervals])
-    if all_union.is_empty:
-        return EMPTY
     part = partition_of_union(sets)
-    # common-denominator numerators keep per-element coverage sums in int
-    # arithmetic; with many sets (large operator degrees) this dominates
-    denom = math.lcm(*(x.denominator for x in w))
-    nums = [x.numerator * (denom // x.denominator) for x in w]
+    coverage = coverage_values(part, weights)
+    if not part.elements:
+        return EMPTY
     shared_p = None
     if cfg.kind != "per-element":
+        all_union = canonicalize([iv for s in part.sets for iv in s.intervals])
         shared_p = cfg.point if cfg.kind == "fixed" else centroid(all_union)
     pieces = []
-    for el in part.elements:
-        t = Fraction(sum(nums[i] for i in el.signature), denom)
+    for el, (_, t) in zip(part.elements, coverage):
         p = centroid(el.region) if shared_p is None else shared_p
         pieces.extend(subset_generate(el.region, t, p).intervals)
     return canonicalize(pieces)
-
-
-def partition_expectation(
-    sets: Sequence[IntervalSet],
-    weights: Sequence[Fraction],
-    cfg: AverageConfig = CENTROID_OF_UNION,
-) -> IntervalSet:
-    """Expectation of a discrete random set: the partition average with the
-    point probabilities as weights."""
-    return partition_average(sets, weights, cfg)
 
 
 def expected_pairwise_distance(
@@ -201,9 +201,7 @@ def expected_pairwise_distance(
     """E(d(X1, X2)) for independent discrete random sets over the same
     collection: the double sum of pairwise distances weighted by the product
     distribution."""
-    wa, wb = check_weights(weights_a), check_weights(weights_b)
-    if len(wa) != len(sets) or len(wb) != len(sets):
-        raise ValueError("weight/set length mismatch")
+    wa, wb = check_weights(weights_a, len(sets)), check_weights(weights_b, len(sets))
     total = Fraction(0)
     n = len(sets)
     dist = {}
@@ -218,6 +216,22 @@ def expected_pairwise_distance(
     return total
 
 
+def _coverage_integral(
+    sets: Sequence[IntervalSet],
+    weights_a: Sequence[Fraction],
+    weights_b: Sequence[Fraction],
+    integrand: Callable[[Fraction, Fraction], Fraction],
+) -> Fraction:
+    """Integral over the union of integrand(a, b), where a and b are the
+    coverage functions of the two weight vectors."""
+    part = partition_of_union(sets)
+    cov_a, cov_b = coverage_values(part, weights_a), coverage_values(part, weights_b)
+    total = Fraction(0)
+    for el, (_, a), (_, b) in zip(part.elements, cov_a, cov_b):
+        total += integrand(a, b) * measure(el.region)
+    return total
+
+
 def expected_pairwise_distance_integral(
     sets: Sequence[IntervalSet],
     weights_a: Sequence[Fraction],
@@ -226,14 +240,7 @@ def expected_pairwise_distance_integral(
     """Same expectation computed as the integral of the coverage-function
     expression a(1-b) + b(1-a) over the partition elements; must agree
     exactly with the double-sum form."""
-    wa, wb = check_weights(weights_a), check_weights(weights_b)
-    part = partition_of_union(sets)
-    total = Fraction(0)
-    for el in part.elements:
-        a = sum((wa[i] for i in el.signature), Fraction(0))
-        b = sum((wb[i] for i in el.signature), Fraction(0))
-        total += (a * (1 - b) + b * (1 - a)) * measure(el.region)
-    return total
+    return _coverage_integral(sets, weights_a, weights_b, lambda a, b: a * (1 - b) + b * (1 - a))
 
 
 def average_distance_integral(
@@ -244,11 +251,4 @@ def average_distance_integral(
     """d(avg_a, avg_b) computed as the integral of the absolute coverage
     difference over the partition elements.  Equals the distance between the
     two partition averages when both use the same reference-point config."""
-    wa, wb = check_weights(weights_a), check_weights(weights_b)
-    part = partition_of_union(sets)
-    total = Fraction(0)
-    for el in part.elements:
-        a = sum((wa[i] for i in el.signature), Fraction(0))
-        b = sum((wb[i] for i in el.signature), Fraction(0))
-        total += abs(a - b) * measure(el.region)
-    return total
+    return _coverage_integral(sets, weights_a, weights_b, lambda a, b: abs(a - b))

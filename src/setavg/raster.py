@@ -15,6 +15,7 @@ from typing import Sequence
 
 from .intervals import IntervalSet
 from .multivariate import Point2, orientation
+from .partition import check_weights, group_by_signature
 
 
 @dataclass(frozen=True)
@@ -148,11 +149,7 @@ def cell_signatures(sets: Sequence[RasterSet]) -> dict[frozenset, frozenset]:
     for s in sets[1:]:
         if not s.same_grid(sets[0]):
             raise GridMismatchError("raster sets live on different grids")
-    groups: dict[frozenset, set] = {}
-    all_cells = set().union(*(s.cells for s in sets))
-    for cell in all_cells:
-        sig = frozenset(i for i, s in enumerate(sets) if cell in s.cells)
-        groups.setdefault(sig, set()).add(cell)
+    groups = group_by_signature(s.cells for s in sets)
     return {sig: frozenset(cells) for sig, cells in groups.items()}
 
 
@@ -162,11 +159,7 @@ def raster_partition_average(
     """Grid analogue of the partition average: within each signature group,
     keep the round(t * count) cells closest to p (exact squared distances,
     ties broken row-major)."""
-    w = tuple(Fraction(x) for x in weights)
-    if len(w) != len(sets):
-        raise ValueError("need one weight per raster set")
-    if sum(w) != 1 or any(x < 0 for x in w):
-        raise ValueError("weights must be nonnegative and sum to 1")
+    w = check_weights(weights, len(sets))
     base = sets[0]
     ox, oy = base.origin
     h = base.cell_size
@@ -187,21 +180,13 @@ def raster_partition_average(
     return RasterSet(base.origin, h, base.width, base.height, frozenset(chosen))
 
 
-def write_pgm(
-    grid: RasterSet | Sequence[RasterSet],
-    path: str,
-    labels: dict[frozenset, frozenset] | None = None,
-) -> None:
+def write_pgm(grid: RasterSet | Sequence[RasterSet], path: str) -> None:
     """Binary PGM (P5) rendering: background white, one gray level per
     signature group (or plain black occupancy for a single RasterSet)."""
-    if labels is None and isinstance(grid, RasterSet):
-        labels = {frozenset([0]): grid.cells}
-        base = grid
-    elif labels is None:
-        labels = cell_signatures(list(grid))
-        base = grid[0]
+    if isinstance(grid, RasterSet):
+        labels, base = {frozenset([0]): grid.cells}, grid
     else:
-        base = grid if isinstance(grid, RasterSet) else grid[0]
+        labels, base = cell_signatures(list(grid)), grid[0]
     ordered = sorted(labels.items(), key=lambda kv: sorted(kv[0]))
     if len(ordered) > 255:
         raise ValueError("too many distinct labels for 8-bit PGM")
@@ -239,20 +224,15 @@ def rasterize_1d(a: IntervalSet, lo: Fraction, cell_size: Fraction, n_cells: int
 def raster_average_measure_1d(
     sets: Sequence[IntervalSet],
     weights: Sequence[Fraction],
-    p: Fraction,
     lo: Fraction,
     cell_size: Fraction,
     n_cells: int,
 ) -> Fraction:
     """Measure of the grid partition average of 1-D interval sets: the
     brute-force counterpart of the exact partition-average measure."""
-    w = tuple(Fraction(x) for x in weights)
+    w = check_weights(weights, len(sets))
     h = Fraction(cell_size)
-    rasters = [rasterize_1d(s, lo, h, n_cells) for s in sets]
-    groups: dict[frozenset, set] = {}
-    for cell in set().union(*rasters):
-        sig = frozenset(i for i, r in enumerate(rasters) if cell in r)
-        groups.setdefault(sig, set()).add(cell)
+    groups = group_by_signature(rasterize_1d(s, lo, h, n_cells) for s in sets)
     total_cells = 0
     for sig, cells in groups.items():
         t = sum((w[i] for i in sig), Fraction(0))

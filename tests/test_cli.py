@@ -9,6 +9,14 @@ def invoke(args, **kwargs):
     return CliRunner().invoke(main, args, **kwargs)
 
 
+def assert_usage_error(res, message):
+    """Exit code 2, the library's message on the terminal, no traceback."""
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert message in res.output
+    assert "Traceback" not in res.output
+
+
 def write_sets(tmp_path, sets):
     path = tmp_path / "sets.json"
     path.write_text(json.dumps(sets))
@@ -38,7 +46,12 @@ class TestAverage:
     def test_bad_weights(self, tmp_path):
         path = write_sets(tmp_path, [[["0", "1"]], [["0", "2"]]])
         res = invoke(["average", "--sets", path, "--weights", "1/2,1/4"])
-        assert res.exit_code != 0
+        assert_usage_error(res, "sum to 1")
+
+    def test_weight_count_mismatch_is_usage_error(self, tmp_path):
+        path = write_sets(tmp_path, [[["0", "1"]], [["0", "2"]]])
+        res = invoke(["average", "--sets", path, "--weights", "1/3,1/3,1/3"])
+        assert_usage_error(res, "one weight per input")
 
 
 class TestOperators:
@@ -64,6 +77,11 @@ class TestOperators:
         # both interpolate at a node of the pl scheme, sets differ in general
         assert pl.output.splitlines()[0].startswith("[[")
         assert bern.output.splitlines()[0].startswith("[[")
+
+    def test_degree_zero_is_usage_error(self):
+        for command in ("bernstein", "decasteljau"):
+            res = invoke([command, "--svf", "grow", "--n", "0", "--x", "1/2"])
+            assert_usage_error(res, "degree must be >= 1")
 
     def test_unknown_svf_rejected(self):
         res = invoke(["bernstein", "--svf", "nope", "--n", "2", "--x", "0"])
@@ -131,6 +149,13 @@ class TestRaster:
                       "--h", "13/50", "--out", str(out)])
         assert res.exit_code == 0
         assert out.read_bytes().startswith(b"P5\n50 50\n255\n")
+
+    def test_empty_union_is_usage_error(self, tmp_path):
+        shapes = tmp_path / "shapes.json"
+        shapes.write_text(json.dumps([{"type": "rectangle", "corners": [[1, 1], [2, 2]]}]))
+        res = invoke(["raster", "--shapes", str(shapes), "--weights", "1",
+                      "--h", "13/2", "--out", str(tmp_path / "avg.pgm")])
+        assert_usage_error(res, "no grid cell")
 
     def test_average_output_reports_measure(self, tmp_path):
         shapes = tmp_path / "shapes.json"

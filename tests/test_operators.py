@@ -81,6 +81,22 @@ class TestSchemes:
         assert BERNSTEIN_SCHEME.nodes(2) == [0, F(1, 2), 1]
         assert PIECEWISE_LINEAR_SCHEME.nodes(3) == [0, F(1, 3), F(2, 3), 1]
 
+    def test_degree_zero_rejected(self):
+        for scheme in (BERNSTEIN_SCHEME, PIECEWISE_LINEAR_SCHEME):
+            with pytest.raises(ValueError):
+                scheme.nodes(0)
+            with pytest.raises(ValueError):
+                scheme.weights(0, F(1, 2))
+
+
+@pytest.mark.parametrize("op", [bernstein_svf, decasteljau_svf, decasteljau_naive])
+def test_operator_degree_zero_rejected_before_sampling(op):
+    def never(x):
+        raise AssertionError(f"sample evaluated at {x}")
+
+    with pytest.raises(ValueError, match="degree"):
+        op(SampledSVF(never), 0, F(1, 2))
+
 
 class TestBernsteinSVF:
     def test_two_sample_example(self):

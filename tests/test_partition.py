@@ -14,6 +14,8 @@ from setavg.intervals import (
     sym_diff_distance,
     union,
 )
+from setavg.multivariate import Point2
+from setavg.operators import REAL_SPACE
 from setavg.partition import (
     CENTROID_OF_UNION,
     PER_ELEMENT_CENTROID,
@@ -23,10 +25,10 @@ from setavg.partition import (
     expected_pairwise_distance_integral,
     fixed_point,
     partition_average,
-    partition_expectation,
     partition_of_union,
     subset_generate,
 )
+from setavg.raster import Rectangle, raster_average_measure_1d, raster_partition_average, rasterize
 
 from conftest import random_interval_set, random_weights
 
@@ -224,9 +226,35 @@ class TestPartitionAverage:
         with pytest.raises(ValueError):
             partition_average([A01], [F(1, 2), F(1, 2)])
 
-    def test_expectation_alias(self):
-        got = partition_expectation([A01, A02], [F(1, 2), F(1, 2)])
-        assert got == partition_average([A01, A02], [F(1, 2), F(1, 2)])
+
+class TestWeightCheck:
+    """Every entry point that takes weights rejects floats, a wrong count,
+    negative weights and sums other than 1 with the same typed errors."""
+
+    ENTRY_POINTS = {
+        "partition_average": lambda w: partition_average([A01, A02], w),
+        "coverage_values": lambda w: coverage_values(partition_of_union([A01, A02]), w),
+        "expected_pairwise_distance": lambda w: expected_pairwise_distance([A01, A02], w, w),
+        "expected_pairwise_distance_integral":
+            lambda w: expected_pairwise_distance_integral([A01, A02], w, w),
+        "average_distance_integral": lambda w: average_distance_integral([A01, A02], w, w),
+        "real_space": lambda w: REAL_SPACE.weighted_average([F(1), F(2)], w),
+        "raster_partition_average": lambda w: raster_partition_average(
+            [rasterize(Rectangle(Point2(0, 0), Point2(1, 1)), (F(0), F(0)), F(1, 2), 4, 4)] * 2,
+            w, Point2(0, 0)),
+        "raster_average_measure_1d":
+            lambda w: raster_average_measure_1d([A01, A02], w, F(0), F(1, 4), 8),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    def test_rejections(self, name):
+        call = self.ENTRY_POINTS[name]
+        call([F(1, 2), F(1, 2)])
+        with pytest.raises(TypeError):
+            call([0.5, 0.5])
+        for bad in ([F(1)], [F(1, 3)] * 3, [F(3, 2), F(-1, 2)], [F(1, 2), F(1, 4)]):
+            with pytest.raises(ValueError):
+                call(bad)
 
 
 class TestExpectedDistances:
