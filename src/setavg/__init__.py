@@ -38,6 +38,7 @@ from .partition import (
     AverageConfig,
     Partition,
     PartitionElement,
+    PartitionPlan,
     average_distance_integral,
     coverage_values,
     expected_pairwise_distance,

@@ -12,18 +12,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .intervals import IntervalSet, canonicalize, contains_ae, measure, sym_diff_distance
+from .intervals import (
+    IntervalSet,
+    as_rational,
+    canonicalize,
+    contains_ae,
+    measure,
+    sym_diff_distance,
+)
 from .multivariate import Point2
 from .operators import (
+    BERNSTEIN_SCHEME,
     SCHEMES,
-    IntervalSetSpace,
     SampledSVF,
     bernstein_svf,
     decasteljau_svf,
     dominance_holds,
+    grid_averages,
     measure_profile_secants,
-    positive_operator,
-    speed_profile,
+    nested_speeds,
 )
 from .partition import AverageConfig, CENTROID_OF_UNION
 
@@ -109,16 +116,22 @@ def run_convergence(
         raise ValueError(f"unknown operator: {operator!r}")
     F = BUILTIN_SVFS[svf_name]
     op = SVF_OPERATORS[operator]
+    grid = sorted(as_rational(g) for g in x_grid)
+    truth = [F(x) for x in grid]
     rows = []
     for n in sorted(n_list):
-        for x in sorted(Fraction(g) for g in x_grid):
-            approx = op(F, n, x, cfg)
+        if operator == "bernstein":
+            samples = [F(node) for node in BERNSTEIN_SCHEME.nodes(n)]
+            approxes = grid_averages(samples, BERNSTEIN_SCHEME, n, grid, cfg)
+        else:
+            approxes = [op(F, n, x, cfg) for x in grid]
+        for x, exact, approx in zip(grid, truth, approxes):
             rows.append(
                 ExperimentRow(
                     operator=operator,
                     n=n,
                     x=x,
-                    error=sym_diff_distance(F(x), approx),
+                    error=sym_diff_distance(exact, approx),
                     bound=holder_bound(F.holder_constant, F.holder_exponent, n, x),
                     measure=measure(approx),
                 )
@@ -160,9 +173,9 @@ def run_monotone_check(
     measure profile."""
     F = BUILTIN_SVFS[svf_name]
     scheme = SCHEMES[scheme_name]
-    grid = sorted(Fraction(g) for g in x_grid)
-    space = IntervalSetSpace(cfg)
-    values = [positive_operator(F, scheme, n, x, space) for x in grid]
+    grid = sorted(as_rational(g) for g in x_grid)
+    samples = [F(node) for node in scheme.nodes(n)]
+    values = grid_averages(samples, scheme, n, grid, cfg)
     dom_ok = all(
         dominance_holds(scheme.weights(n, a), scheme.weights(n, b))
         for a, b in zip(grid, grid[1:])
@@ -172,7 +185,7 @@ def run_monotone_check(
         for (a, va), (b, vb) in zip(zip(grid, values), zip(grid[1:], values[1:]))
         if not contains_ae(vb, va)
     )
-    speeds = speed_profile(F, scheme, n, grid, cfg)
+    speeds = nested_speeds(samples, grid, values)
     secants = measure_profile_secants(F, scheme, n, grid)
     speed_ok = speeds == secants
     return MonotoneReport(

@@ -206,9 +206,14 @@ def raster(ctx, shapes_file, weights, cell_size, grid, out_path):
     """Rasterize planar shapes; write the partition or average as PGM."""
     with open(shapes_file) as fh:
         raw = json.load(fh)
-    shapes = [_parse_shape(entry) for entry in raw]
+    try:
+        shapes = [_parse_shape(entry) for entry in raw]
+    except KeyError as exc:
+        raise ValueError(f"a shape entry lacks the key {exc}") from exc
     w = parse_weights(weights)
     h = Fraction(cell_size)
+    if h <= 0:
+        raise ValueError(f"--h must be positive, got {h}")
     x0, y0, x1, y1 = (Fraction(part) for part in grid.split(","))
     width = int((x1 - x0) / h)
     height = int((y1 - y0) / h)

@@ -92,14 +92,24 @@ def union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     return canonicalize(list(a.intervals) + list(b.intervals))
 
 
+def _overlaps(a: IntervalSet, b: IntervalSet):
+    """The positive-length pieces of a & b, in order, from one two-pointer
+    walk over the two sorted interval lists: O(|a| + |b|)."""
+    xs, ys = a.intervals, b.intervals
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        (x0, x1), (y0, y1) = xs[i], ys[j]
+        lo, hi = max(x0, y0), min(x1, y1)
+        if lo < hi:
+            yield lo, hi
+        if x1 < y1:
+            i += 1
+        else:
+            j += 1
+
+
 def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    out = []
-    for x0, x1 in a.intervals:
-        for y0, y1 in b.intervals:
-            lo, hi = max(x0, y0), min(x1, y1)
-            if lo < hi:
-                out.append((lo, hi))
-    return canonicalize(out)
+    return canonicalize(_overlaps(a, b))
 
 
 def difference(a: IntervalSet, b: IntervalSet) -> IntervalSet:
@@ -125,13 +135,18 @@ def measure(a: IntervalSet) -> Fraction:
     return sum((b - x for x, b in a.intervals), Fraction(0))
 
 
+def _overlap_measure(a: IntervalSet, b: IntervalSet) -> Fraction:
+    return sum((hi - lo for lo, hi in _overlaps(a, b)), Fraction(0))
+
+
 def sym_diff_distance(a: IntervalSet, b: IntervalSet) -> Fraction:
-    return measure(difference(a, b)) + measure(difference(b, a))
+    """mu(a - b) + mu(b - a), computed as mu(a) + mu(b) - 2 mu(a & b)."""
+    return measure(a) + measure(b) - 2 * _overlap_measure(a, b)
 
 
 def contains_ae(a: IntervalSet, b: IntervalSet) -> bool:
-    """True iff b is a subset of a modulo a null set."""
-    return measure(difference(b, a)) == 0
+    """True iff b is a subset of a modulo a null set: mu(a & b) = mu(b)."""
+    return _overlap_measure(a, b) == measure(b)
 
 
 def centroid(a: IntervalSet) -> Fraction:

@@ -274,20 +274,25 @@ def validate_triangulation(t: Triangulation) -> None:
     n = len(t.points)
     edge_count: dict[tuple[int, int], int] = {}
     for tri in t.triangles:
-        assert all(0 <= v < n for v in tri), "vertex index out of range"
+        if not all(0 <= v < n for v in tri):
+            raise ValueError("vertex index out of range")
         a, b, c = (t.points[v] for v in tri)
-        assert orientation(a, b, c) != 0, "degenerate triangle"
-        assert circumdiameter_bound(a, b, c) <= t.mesh_diameter, "diameter bound violated"
+        if orientation(a, b, c) == 0:
+            raise ValueError("degenerate triangle")
+        if circumdiameter_bound(a, b, c) > t.mesh_diameter:
+            raise ValueError("diameter bound violated")
         for e in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
             key = tuple(sorted(e))
             edge_count[key] = edge_count.get(key, 0) + 1
-    assert all(cnt <= 2 for cnt in edge_count.values()), "edge shared by >2 triangles"
+    if any(cnt > 2 for cnt in edge_count.values()):
+        raise ValueError("edge shared by >2 triangles")
     # pairwise interior disjointness via total area = hull area
     total = sum(
         abs(orientation(*(t.points[v] for v in tri))) for tri in t.triangles
     )
     hull = _convex_hull_area2(t.points)
-    assert total == hull, "triangle areas do not tile the convex hull"
+    if total != hull:
+        raise ValueError("triangle areas do not tile the convex hull")
     # Delaunay completeness: no point strictly inside any circumcircle
     for tri in t.triangles:
         ccw_tri = _ccw(t.points, tri)
@@ -295,7 +300,8 @@ def validate_triangulation(t: Triangulation) -> None:
         for qi, q in enumerate(t.points):
             if qi in tri:
                 continue
-            assert not in_circumcircle(a, b, c, q), "circumcircle not empty"
+            if in_circumcircle(a, b, c, q):
+                raise ValueError("circumcircle not empty")
 
 
 def _convex_hull_area2(points: Sequence[Point2]) -> Fraction:

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Protocol, Sequence, TypeVar
 
-from .intervals import IntervalSet, contains_ae, measure, sym_diff_distance
+from .intervals import IntervalSet, as_rational, contains_ae, measure, sym_diff_distance
 from .partition import (
     AverageConfig,
     CENTROID_OF_UNION,
+    PartitionPlan,
     check_weights,
     partition_average,
 )
@@ -78,7 +79,7 @@ class SampledSVF:
     name: str = ""
 
     def __call__(self, x) -> IntervalSet:
-        return self.evaluate(Fraction(x))
+        return self.evaluate(as_rational(x))
 
 
 def uniform_nodes(n: int) -> list[Fraction]:
@@ -90,7 +91,7 @@ def uniform_nodes(n: int) -> list[Fraction]:
 
 def bernstein_weights(n: int, x) -> tuple[Fraction, ...]:
     """Binomial point probabilities C(n,i) x^i (1-x)^(n-i), exact."""
-    x = Fraction(x)
+    x = as_rational(x)
     if not (0 <= x <= 1):
         raise ValueError(f"x must lie in [0, 1], got {x}")
     if n < 1:
@@ -101,7 +102,7 @@ def bernstein_weights(n: int, x) -> tuple[Fraction, ...]:
 
 
 def bernstein_real(f: Callable[[Fraction], Fraction], n: int, x) -> Fraction:
-    x = Fraction(x)
+    x = as_rational(x)
     w = bernstein_weights(n, x)
     return sum((w[i] * Fraction(f(Fraction(i, n))) for i in range(n + 1)), Fraction(0))
 
@@ -128,7 +129,7 @@ class PiecewiseLinearScheme:
         return uniform_nodes(n)
 
     def weights(self, n: int, x) -> tuple[Fraction, ...]:
-        x = Fraction(x)
+        x = as_rational(x)
         if not (0 <= x <= 1):
             raise ValueError(f"x must lie in [0, 1], got {x}")
         if n < 1:
@@ -167,7 +168,7 @@ def decasteljau_svf(
     distance from the result to each sample exactly the binomially weighted
     average of sample distances.
     """
-    x = Fraction(x)
+    x = as_rational(x)
     samples = [F(node) for node in uniform_nodes(n)]
     zero = [Fraction(0)] * (n + 1)
 
@@ -186,7 +187,7 @@ def decasteljau_naive(
     """Plain binary-average de Casteljau recursion.  Because the partition
     average is not associative this differs from the Bernstein operator and
     is not expected to converge; shipped for demonstration only."""
-    x = Fraction(x)
+    x = as_rational(x)
     level = [F(node) for node in uniform_nodes(n)]
     while len(level) > 1:
         level = [
@@ -205,7 +206,7 @@ def positive_operator(
 ) -> T:
     """Generic positive sample-based operator: the space's weighted average
     of the samples at the scheme's nodes."""
-    x = Fraction(x)
+    x = as_rational(x)
     nodes = scheme.nodes(n)
     samples = [F(node) for node in nodes]
     return space.weighted_average(samples, scheme.weights(n, x))
@@ -235,6 +236,32 @@ def _check_monotone(samples: Sequence[IntervalSet]) -> bool:
     return non_dec or non_inc
 
 
+def grid_averages(
+    samples: Sequence[IntervalSet],
+    scheme,
+    n: int,
+    grid: Sequence[Fraction],
+    cfg: AverageConfig = CENTROID_OF_UNION,
+) -> list[IntervalSet]:
+    """The set-valued operator at every grid point.  Only the weights depend
+    on x, so all points share one partition plan of the samples."""
+    plan = PartitionPlan(samples, cfg)
+    return [plan.average(scheme.weights(n, x)) for x in grid]
+
+
+def nested_speeds(
+    samples: Sequence[IntervalSet], grid: Sequence[Fraction], values: Sequence[IntervalSet]
+) -> list[Fraction]:
+    """Finite-difference speeds d(values[k], values[k+1]) / (grid[k+1] - grid[k])
+    of an operator built on nested samples."""
+    if not _check_monotone(samples):
+        raise ValueError("speed profile requires a monotone (nested) SVF")
+    return [
+        sym_diff_distance(values[k], values[k + 1]) / (grid[k + 1] - grid[k])
+        for k in range(len(grid) - 1)
+    ]
+
+
 def speed_profile(
     F: SampledSVF,
     scheme,
@@ -248,16 +275,9 @@ def speed_profile(
     applied to the measure profile, because monotonicity preservation turns
     every distance into a measure difference.
     """
-    grid = [Fraction(g) for g in grid]
+    grid = [as_rational(g) for g in grid]
     samples = [F(node) for node in scheme.nodes(n)]
-    if not _check_monotone(samples):
-        raise ValueError("speed profile requires a monotone (nested) SVF")
-    space = IntervalSetSpace(cfg)
-    values = [space.weighted_average(samples, scheme.weights(n, g)) for g in grid]
-    return [
-        sym_diff_distance(values[k], values[k + 1]) / (grid[k + 1] - grid[k])
-        for k in range(len(grid) - 1)
-    ]
+    return nested_speeds(samples, grid, grid_averages(samples, scheme, n, grid, cfg))
 
 
 def measure_profile_secants(
@@ -265,7 +285,7 @@ def measure_profile_secants(
 ) -> list[Fraction]:
     """Secant slopes of the real operator applied to x -> mu(F(x)); the
     independent real-valued counterpart of speed_profile."""
-    grid = [Fraction(g) for g in grid]
+    grid = [as_rational(g) for g in grid]
     mu_samples = [measure(F(node)) for node in scheme.nodes(n)]
 
     def real_op(g: Fraction) -> Fraction:

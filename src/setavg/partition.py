@@ -11,6 +11,7 @@ whole construction stays exact over the rationals.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Sequence
@@ -62,7 +63,7 @@ PER_ELEMENT_CENTROID = AverageConfig("per-element")
 
 
 def fixed_point(p) -> AverageConfig:
-    return AverageConfig("fixed", Fraction(p))
+    return AverageConfig("fixed", as_rational(p))
 
 
 def check_weights(weights: Sequence[Fraction], count: int) -> tuple[Fraction, ...]:
@@ -128,48 +129,95 @@ def coverage_values(
     ]
 
 
+class _RadiusTable:
+    """The map r -> mu([p-r, p+r] & a), which is piecewise linear with
+    breakpoints at the distances from p to the endpoints of a: the sorted
+    breakpoints r_k, the measure m(r_k) at each, and the slope after each."""
+
+    def __init__(self, a: IntervalSet, p: Fraction):
+        self.a, self.p = a, p
+        # each half of each interval, as seen from p, adds slope 1 between
+        # the radii of its near and far ends
+        steps: dict[Fraction, int] = {Fraction(0): 0}
+        for x0, x1 in a.intervals:
+            halves = []
+            if x0 < p:
+                halves.append((p - min(x1, p), p - x0))
+            if x1 > p:
+                halves.append((max(x0, p) - p, x1 - p))
+            for near, far in halves:
+                steps[near] = steps.get(near, 0) + 1
+                steps[far] = steps.get(far, 0) - 1
+        self.radii = sorted(steps)
+        self.measures, self.slopes = [], []
+        m, slope, prev = Fraction(0), 0, Fraction(0)
+        for r in self.radii:
+            m += slope * (r - prev)
+            slope += steps[r]
+            self.measures.append(m)
+            self.slopes.append(slope)
+            prev = r
+
+    def ball_subset(self, t: Fraction) -> list[tuple[Fraction, Fraction]]:
+        """The intervals of a & [p-r, p+r] for the smallest r giving measure
+        t*mu(a), for 0 < t <= 1: find the first m(r_k) >= t*mu(a) and
+        invert the linear piece before it (m(r_0) = 0, so k >= 1)."""
+        target = t * self.measures[-1]
+        k = bisect_left(self.measures, target)
+        if k == len(self.measures):
+            raise ValueError("target measure exceeds the measure of the set")
+        r = self.radii[k - 1] + (target - self.measures[k - 1]) / self.slopes[k - 1]
+        lo, hi = self.p - r, self.p + r
+        return [
+            (max(x0, lo), min(x1, hi))
+            for x0, x1 in self.a.intervals
+            if min(x1, hi) > max(x0, lo)
+        ]
+
+
 def subset_generate(a: IntervalSet, t, p) -> IntervalSet:
     """Subset of a with measure exactly t*mu(a), cut by the smallest closed
-    ball around p achieving that measure.
-
-    The map r -> mu([p-r, p+r] & a) is piecewise linear with breakpoints at
-    the distances from p to the interval endpoints, so the minimal radius is
-    found exactly by walking the breakpoints and inverting one linear piece.
-    """
-    t, p = Fraction(t), Fraction(p)
+    ball around p achieving that measure."""
+    t, p = as_rational(t), as_rational(p)
     if not (0 <= t <= 1):
         raise ValueError(f"t must lie in [0, 1], got {t}")
     if a.is_empty or t == 0:
         return EMPTY
-    target = t * measure(a)
+    return canonicalize(_RadiusTable(a, p).ball_subset(t))
 
-    def covered(r: Fraction) -> Fraction:
-        lo, hi = p - r, p + r
-        total = Fraction(0)
-        for x0, x1 in a.intervals:
-            total += max(Fraction(0), min(x1, hi) - max(x0, lo))
-        return total
 
-    radii = sorted({abs(e - p) for x0, x1 in a.intervals for e in (x0, x1)} | {Fraction(0)})
-    prev_r, prev_m = radii[0], covered(radii[0])
-    r = None
-    if prev_m >= target:
-        r = prev_r
-    else:
-        for cand in radii[1:]:
-            m = covered(cand)
-            if m >= target:
-                slope = (m - prev_m) / (cand - prev_r)
-                r = prev_r + (target - prev_m) / slope
-                break
-            prev_r, prev_m = cand, m
-    assert r is not None, "target measure exceeds the measure of the set"
-    clipped = [
-        (max(x0, p - r), min(x1, p + r))
-        for x0, x1 in a.intervals
-        if min(x1, p + r) > max(x0, p - r)
-    ]
-    return canonicalize(clipped)
+class PartitionPlan:
+    """The weight-independent part of partition averages over one
+    collection of sets: the partition of the union, the reference point,
+    and one radius table per partition element.  Build it once and call
+    `average` for every weight vector; a table is built the first time its
+    element gets a nonzero coverage."""
+
+    def __init__(self, sets: Sequence[IntervalSet], cfg: AverageConfig = CENTROID_OF_UNION):
+        self.partition = partition_of_union(sets)
+        self._shared_p = None
+        if cfg.kind != "per-element" and self.partition.elements:
+            all_union = canonicalize([iv for s in self.partition.sets for iv in s.intervals])
+            self._shared_p = cfg.point if cfg.kind == "fixed" else centroid(all_union)
+        self._tables: list[_RadiusTable | None] = [None] * len(self.partition.elements)
+
+    def _table(self, k: int) -> _RadiusTable:
+        table = self._tables[k]
+        if table is None:
+            region = self.partition.elements[k].region
+            p = centroid(region) if self._shared_p is None else self._shared_p
+            table = self._tables[k] = _RadiusTable(region, p)
+        return table
+
+    def average(self, weights: Sequence[Fraction]) -> IntervalSet:
+        """Weighted average of the plan's sets: from each element, the ball
+        subset whose measure is the element's coverage times its measure."""
+        coverage = coverage_values(self.partition, weights)
+        pieces = []
+        for k, (_, t) in enumerate(coverage):
+            if t:
+                pieces.extend(self._table(k).ball_subset(t))
+        return canonicalize(pieces)
 
 
 def partition_average(
@@ -178,19 +226,7 @@ def partition_average(
     cfg: AverageConfig = CENTROID_OF_UNION,
 ) -> IntervalSet:
     """Weighted average of interval sets built on the partition of the union."""
-    part = partition_of_union(sets)
-    coverage = coverage_values(part, weights)
-    if not part.elements:
-        return EMPTY
-    shared_p = None
-    if cfg.kind != "per-element":
-        all_union = canonicalize([iv for s in part.sets for iv in s.intervals])
-        shared_p = cfg.point if cfg.kind == "fixed" else centroid(all_union)
-    pieces = []
-    for el, (_, t) in zip(part.elements, coverage):
-        p = centroid(el.region) if shared_p is None else shared_p
-        pieces.extend(subset_generate(el.region, t, p).intervals)
-    return canonicalize(pieces)
+    return PartitionPlan(sets, cfg).average(weights)
 
 
 def expected_pairwise_distance(

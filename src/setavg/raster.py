@@ -185,6 +185,8 @@ def write_pgm(grid: RasterSet | Sequence[RasterSet], path: str) -> None:
     signature group (or plain black occupancy for a single RasterSet)."""
     if isinstance(grid, RasterSet):
         labels, base = {frozenset([0]): grid.cells}, grid
+    elif not grid:
+        raise ValueError("write_pgm needs at least one raster set")
     else:
         labels, base = cell_signatures(list(grid)), grid[0]
     ordered = sorted(labels.items(), key=lambda kv: sorted(kv[0]))

@@ -157,6 +157,21 @@ class TestRaster:
                       "--h", "13/2", "--out", str(tmp_path / "avg.pgm")])
         assert_usage_error(res, "no grid cell")
 
+    def test_nonpositive_cell_size_is_usage_error(self, tmp_path):
+        shapes = tmp_path / "shapes.json"
+        shapes.write_text(json.dumps(self.SHAPES))
+        for h in ("0", "-1/2"):
+            res = invoke(["raster", "--shapes", str(shapes), "--weights", "1/3,1/3,1/3",
+                          "--h", h, "--out", str(tmp_path / "avg.pgm")])
+            assert_usage_error(res, "--h must be positive")
+
+    def test_shape_missing_key_is_usage_error(self, tmp_path):
+        shapes = tmp_path / "shapes.json"
+        shapes.write_text(json.dumps([{"type": "triangle"}]))
+        res = invoke(["raster", "--shapes", str(shapes), "--weights", "1",
+                      "--h", "13/50", "--out", str(tmp_path / "avg.pgm")])
+        assert_usage_error(res, "lacks the key 'points'")
+
     def test_average_output_reports_measure(self, tmp_path):
         shapes = tmp_path / "shapes.json"
         shapes.write_text(json.dumps(self.SHAPES))

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -52,6 +53,17 @@ class TestTriangulate:
         t = triangulate(UNIT_SQUARE + [Point2(F(1, 3), F(2, 3))])
         for i, j, k in t.triangles:
             assert circumdiameter_bound(t.points[i], t.points[j], t.points[k]) <= t.mesh_diameter
+
+    def test_corrupted_triangulation_rejected(self):
+        t = triangulate(UNIT_SQUARE + [Point2(F(1, 3), F(2, 3))])
+        corrupted = {
+            "diameter bound violated": replace(t, mesh_diameter=t.mesh_diameter / 2),
+            "vertex index out of range": replace(t, triangles=t.triangles + ((0, 1, 9),)),
+            "do not tile": replace(t, triangles=t.triangles[1:]),
+        }
+        for message, bad in corrupted.items():
+            with pytest.raises(ValueError, match=message):
+                validate_triangulation(bad)
 
     def test_irregular_cloud(self):
         pts = [Point2(0, 0), Point2(4, 0), Point2(5, 3), Point2(2, 5),

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from setavg.catalog import BUILTIN_SVFS
+from setavg.catalog import BUILTIN_SVFS, run_convergence, run_monotone_check
 from setavg.intervals import contains_ae, from_pairs, measure, sym_diff_distance
 from setavg.operators import (
     BERNSTEIN_SCHEME,
@@ -22,7 +22,7 @@ from setavg.operators import (
     positive_operator,
     speed_profile,
 )
-from setavg.partition import CENTROID_OF_UNION, fixed_point, partition_average
+from setavg.partition import CENTROID_OF_UNION, fixed_point, partition_average, subset_generate
 
 from conftest import random_interval_set
 
@@ -96,6 +96,37 @@ def test_operator_degree_zero_rejected_before_sampling(op):
 
     with pytest.raises(ValueError, match="degree"):
         op(SampledSVF(never), 0, F(1, 2))
+
+
+# Every entry point that takes a point x, a grid or a reference point,
+# called with that argument set to q.
+POINT_ENTRY_POINTS = {
+    "positive_operator":
+        lambda q: positive_operator(GROW, BERNSTEIN_SCHEME, 2, q, IntervalSetSpace()),
+    "bernstein_weights": lambda q: bernstein_weights(2, q),
+    "bernstein_real": lambda q: bernstein_real(lambda t: t, 2, q),
+    "pl_weights": lambda q: PIECEWISE_LINEAR_SCHEME.weights(2, q),
+    "decasteljau_svf": lambda q: decasteljau_svf(GROW, 2, q),
+    "decasteljau_naive": lambda q: decasteljau_naive(GROW, 2, q),
+    "sampled_svf": lambda q: GROW(q),
+    "fixed_point": lambda q: fixed_point(q),
+    "subset_generate_t": lambda q: subset_generate(from_pairs([(0, 2)]), q, F(0)),
+    "subset_generate_p": lambda q: subset_generate(from_pairs([(0, 2)]), F(1, 2), q),
+    "speed_profile": lambda q: speed_profile(GROW, BERNSTEIN_SCHEME, 2, [F(0), q]),
+    "measure_profile_secants":
+        lambda q: measure_profile_secants(GROW, BERNSTEIN_SCHEME, 2, [F(0), q]),
+    "run_convergence": lambda q: run_convergence("grow", "bernstein", [2], [F(0), q]),
+    "run_monotone_check": lambda q: run_monotone_check("grow", "bernstein", 2, [F(0), q]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINT_ENTRY_POINTS))
+def test_points_must_be_exact(name):
+    call = POINT_ENTRY_POINTS[name]
+    call(F(1, 10))
+    call("1/10")
+    with pytest.raises(TypeError, match="not an exact rational"):
+        call(0.1)
 
 
 class TestBernsteinSVF:

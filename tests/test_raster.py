@@ -137,6 +137,10 @@ class TestPGM:
         pixels = path.read_bytes().split(b"255\n", 1)[1]
         assert len(set(pixels)) == 8  # 7 signatures + background
 
+    def test_empty_sequence_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="at least one raster set"):
+            write_pgm([], str(tmp_path / "none.pgm"))
+
     def test_byte_stable(self, tmp_path):
         rasters, _ = figure_fixture(F(13, 50))
         p1, p2 = tmp_path / "a.pgm", tmp_path / "b.pgm"
