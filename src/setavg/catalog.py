@@ -97,6 +97,12 @@ def holder_bound(L: Fraction, nu: Fraction, n: int, x: Fraction) -> float:
     return Lf * (1.0 / n) ** nuf + Lf * (float(x * (1 - x)) / n) ** (nuf / 2.0)
 
 
+def _lookup(table: dict, name: str, what: str):
+    if name not in table:
+        raise ValueError(f"unknown {what}: {name!r}")
+    return table[name]
+
+
 def uniform_grid(count: int) -> list[Fraction]:
     if count < 2:
         raise ValueError("grid needs at least the two endpoints")
@@ -110,12 +116,8 @@ def run_convergence(
     x_grid: Sequence[Fraction],
     cfg: AverageConfig = CENTROID_OF_UNION,
 ) -> list[ExperimentRow]:
-    if svf_name not in BUILTIN_SVFS:
-        raise ValueError(f"unknown built-in SVF: {svf_name!r}")
-    if operator not in SVF_OPERATORS:
-        raise ValueError(f"unknown operator: {operator!r}")
-    F = BUILTIN_SVFS[svf_name]
-    op = SVF_OPERATORS[operator]
+    F = _lookup(BUILTIN_SVFS, svf_name, "built-in SVF")
+    op = _lookup(SVF_OPERATORS, operator, "operator")
     grid = sorted(as_rational(g) for g in x_grid)
     truth = [F(x) for x in grid]
     rows = []
@@ -171,8 +173,8 @@ def run_monotone_check(
     """Containment chain of the adapted operator along the grid for a nested
     non-decreasing SVF, plus the speed identity against the real-valued
     measure profile."""
-    F = BUILTIN_SVFS[svf_name]
-    scheme = SCHEMES[scheme_name]
+    F = _lookup(BUILTIN_SVFS, svf_name, "built-in SVF")
+    scheme = _lookup(SCHEMES, scheme_name, "scheme")
     grid = sorted(as_rational(g) for g in x_grid)
     samples = [F(node) for node in scheme.nodes(n)]
     values = grid_averages(samples, scheme, n, grid, cfg)

@@ -35,6 +35,7 @@ from .raster import (
     Ellipse,
     Rectangle,
     Triangle,
+    raster_centroid,
     raster_partition_average,
     rasterize,
     write_pgm,
@@ -221,16 +222,7 @@ def raster(ctx, shapes_file, weights, cell_size, grid, out_path):
     if "partition" in os.path.basename(out_path):
         write_pgm(rasters, out_path)
     else:
-        union_cells = frozenset().union(*(r.cells for r in rasters))
-        if not union_cells:
-            raise ValueError(f"no grid cell has its center inside a shape at --h {h}")
-        cx = sum(
-            (x0 + (col + Fraction(1, 2)) * h for _, col in union_cells), Fraction(0)
-        ) / len(union_cells)
-        cy = sum(
-            (y0 + (row + Fraction(1, 2)) * h for row, _ in union_cells), Fraction(0)
-        ) / len(union_cells)
-        avg = raster_partition_average(rasters, w, Point2(cx, cy))
+        avg = raster_partition_average(rasters, w, raster_centroid(rasters))
         write_pgm(avg, out_path)
         click.echo(f"measure: {_fmt(avg.measure(), ctx.obj['exact'])}")
     click.echo(f"wrote {out_path}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .intervals import IntervalSet
+from .intervals import IntervalSet, as_rational
 from .partition import AverageConfig, CENTROID_OF_UNION, partition_average
 
 
@@ -25,8 +25,8 @@ class Point2:
     y: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "y", Fraction(self.y))
+        object.__setattr__(self, "x", as_rational(self.x))
+        object.__setattr__(self, "y", as_rational(self.y))
 
 
 @dataclass(frozen=True)

@@ -216,8 +216,8 @@ def dominance_holds(weights_a: Sequence[Fraction], weights_b: Sequence[Fraction]
     """Tail-sum dominance: sum_{i>=k} a_i <= sum_{i>=k} b_i for every k.
     Exactly characterizes monotonicity preservation of the induced
     operators, for numbers and for sets alike."""
-    wa = tuple(Fraction(x) for x in weights_a)
-    wb = tuple(Fraction(x) for x in weights_b)
+    wa = tuple(as_rational(x) for x in weights_a)
+    wb = tuple(as_rational(x) for x in weights_b)
     if len(wa) != len(wb):
         raise ValueError("weight vectors must have equal length")
     tail_a, tail_b = Fraction(0), Fraction(0)

@@ -6,6 +6,7 @@ import pytest
 
 from setavg.catalog import BUILTIN_SVFS, run_convergence, run_monotone_check
 from setavg.intervals import contains_ae, from_pairs, measure, sym_diff_distance
+from setavg.multivariate import Point2
 from setavg.operators import (
     BERNSTEIN_SCHEME,
     PIECEWISE_LINEAR_SCHEME,
@@ -23,6 +24,7 @@ from setavg.operators import (
     speed_profile,
 )
 from setavg.partition import CENTROID_OF_UNION, fixed_point, partition_average, subset_generate
+from setavg.raster import Ellipse, Rectangle, raster_average_measure_1d, rasterize, rasterize_1d
 
 from conftest import random_interval_set
 
@@ -98,8 +100,11 @@ def test_operator_degree_zero_rejected_before_sampling(op):
         op(SampledSVF(never), 0, F(1, 2))
 
 
-# Every entry point that takes a point x, a grid or a reference point,
-# called with that argument set to q.
+UNIT = from_pairs([(0, 1)])
+SQUARE = Rectangle(Point2(1, 1), Point2(2, 2))
+
+# Every entry point that takes a point x, a grid, a reference point, a
+# coordinate, a length or a weight vector, called with that argument set to q.
 POINT_ENTRY_POINTS = {
     "positive_operator":
         lambda q: positive_operator(GROW, BERNSTEIN_SCHEME, 2, q, IntervalSetSpace()),
@@ -117,6 +122,19 @@ POINT_ENTRY_POINTS = {
         lambda q: measure_profile_secants(GROW, BERNSTEIN_SCHEME, 2, [F(0), q]),
     "run_convergence": lambda q: run_convergence("grow", "bernstein", [2], [F(0), q]),
     "run_monotone_check": lambda q: run_monotone_check("grow", "bernstein", 2, [F(0), q]),
+    "point2_x": lambda q: Point2(q, 0),
+    "point2_y": lambda q: Point2(0, q),
+    "dominance_holds_a": lambda q: dominance_holds([q], [1]),
+    "dominance_holds_b": lambda q: dominance_holds([0], [q]),
+    "ellipse_semi_x": lambda q: Ellipse(Point2(2, 2), q, 1),
+    "ellipse_semi_y": lambda q: Ellipse(Point2(2, 2), 1, q),
+    "rasterize_origin_x": lambda q: rasterize(SQUARE, (q, 0), F(1, 2), 8, 8),
+    "rasterize_origin_y": lambda q: rasterize(SQUARE, (0, q), F(1, 2), 8, 8),
+    "rasterize_cell_size": lambda q: rasterize(SQUARE, (0, 0), q, 30, 30),
+    "rasterize_1d_lo": lambda q: rasterize_1d(UNIT, q, F(1, 4), 8),
+    "rasterize_1d_cell_size": lambda q: rasterize_1d(UNIT, 0, q, 8),
+    "raster_measure_1d_lo": lambda q: raster_average_measure_1d([UNIT], [1], q, F(1, 4), 8),
+    "raster_measure_1d_cell_size": lambda q: raster_average_measure_1d([UNIT], [1], 0, q, 8),
 }
 
 
@@ -127,6 +145,18 @@ def test_points_must_be_exact(name):
     call("1/10")
     with pytest.raises(TypeError, match="not an exact rational"):
         call(0.1)
+
+
+@pytest.mark.parametrize("runner", ["convergence", "monotone"])
+@pytest.mark.parametrize("bad", ["svf", "operator"])
+def test_unknown_names_rejected(runner, bad):
+    svf = "nope" if bad == "svf" else "grow"
+    op = "nope" if bad == "operator" else "bernstein"
+    with pytest.raises(ValueError, match="unknown .*'nope'"):
+        if runner == "convergence":
+            run_convergence(svf, op, [2], [F(0), F(1)])
+        else:
+            run_monotone_check(svf, op, 2, [F(0), F(1)])
 
 
 class TestBernsteinSVF:
