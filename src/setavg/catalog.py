@@ -24,13 +24,14 @@ from .multivariate import Point2
 from .operators import (
     BERNSTEIN_SCHEME,
     SCHEMES,
+    IntervalSetSpace,
     SampledSVF,
     bernstein_svf,
     decasteljau_svf,
     dominance_holds,
-    grid_averages,
     measure_profile_secants,
     nested_speeds,
+    operator_on_grid,
 )
 from .partition import AverageConfig, CENTROID_OF_UNION
 
@@ -39,7 +40,7 @@ DYADIC_BITS = 60
 
 def dyadic_sqrt(x: Fraction) -> Fraction:
     """Floor of sqrt(x) to 60 fractional bits, as an exact dyadic rational."""
-    x = Fraction(x)
+    x = as_rational(x)
     if x < 0:
         raise ValueError("negative argument")
     shifted = (x.numerator << (2 * DYADIC_BITS)) // x.denominator
@@ -124,7 +125,7 @@ def run_convergence(
     for n in sorted(n_list):
         if operator == "bernstein":
             samples = [F(node) for node in BERNSTEIN_SCHEME.nodes(n)]
-            approxes = grid_averages(samples, BERNSTEIN_SCHEME, n, grid, cfg)
+            approxes = operator_on_grid(samples, BERNSTEIN_SCHEME, n, grid, IntervalSetSpace(cfg))
         else:
             approxes = [op(F, n, x, cfg) for x in grid]
         for x, exact, approx in zip(grid, truth, approxes):
@@ -177,7 +178,7 @@ def run_monotone_check(
     scheme = _lookup(SCHEMES, scheme_name, "scheme")
     grid = sorted(as_rational(g) for g in x_grid)
     samples = [F(node) for node in scheme.nodes(n)]
-    values = grid_averages(samples, scheme, n, grid, cfg)
+    values = operator_on_grid(samples, scheme, n, grid, IntervalSetSpace(cfg))
     dom_ok = all(
         dominance_holds(scheme.weights(n, a), scheme.weights(n, b))
         for a, b in zip(grid, grid[1:])

@@ -30,7 +30,9 @@ from .operators import (
     positive_operator,
     uniform_nodes,
 )
-from .partition import AverageConfig, CENTROID_OF_UNION, PER_ELEMENT_CENTROID, fixed_point
+from .partition import (
+    AverageConfig, CENTROID_OF_UNION, PER_ELEMENT_CENTROID, fixed_point, partition_average,
+)
 from .raster import (
     Ellipse,
     Rectangle,
@@ -88,8 +90,6 @@ def main(ctx, ref_point, exact):
 @click.pass_context
 def average(ctx, sets_file, weights):
     """Partition average of interval sets."""
-    from .partition import partition_average
-
     with open(sets_file) as fh:
         raw = json.load(fh)
     sets = [parse_set_literal(json.dumps(entry)) for entry in raw]
@@ -99,7 +99,7 @@ def average(ctx, sets_file, weights):
     click.echo(f"measure: {_fmt(measure(result), ctx.obj['exact'])}")
 
 
-def _svf_command_output(ctx, F, n, x, result):
+def _svf_command_output(ctx, F, n, result):
     exact = ctx.obj["exact"]
     click.echo(format_set_literal(result))
     click.echo(f"measure: {_fmt(measure(result), exact)}")
@@ -117,7 +117,7 @@ def bernstein(ctx, svf, n, x):
     """Set-valued Bernstein operator at a point."""
     F = catalog.BUILTIN_SVFS[svf]
     result = bernstein_svf(F, n, Fraction(x), ctx.obj["cfg"])
-    _svf_command_output(ctx, F, n, Fraction(x), result)
+    _svf_command_output(ctx, F, n, result)
 
 
 @main.command()
@@ -131,7 +131,7 @@ def decasteljau(ctx, svf, n, x, naive):
     F = catalog.BUILTIN_SVFS[svf]
     op = decasteljau_naive if naive else decasteljau_svf
     result = op(F, n, Fraction(x), ctx.obj["cfg"])
-    _svf_command_output(ctx, F, n, Fraction(x), result)
+    _svf_command_output(ctx, F, n, result)
 
 
 @main.command()
@@ -145,7 +145,7 @@ def operator(ctx, svf, scheme, n, x):
     F = catalog.BUILTIN_SVFS[svf]
     space = IntervalSetSpace(ctx.obj["cfg"])
     result = positive_operator(F, SCHEMES[scheme], n, Fraction(x), space)
-    _svf_command_output(ctx, F, n, Fraction(x), result)
+    _svf_command_output(ctx, F, n, result)
 
 
 @main.command()

@@ -40,6 +40,9 @@ class IntervalSet:
     def __post_init__(self) -> None:
         prev_end = None
         for a, b in self.intervals:
+            for end in (a, b):
+                if not isinstance(end, Fraction):
+                    raise TypeError(f"not an exact rational: {end!r}")
             if not (a < b):
                 raise ValueError(f"degenerate interval ({a}, {b}) in canonical set")
             if prev_end is not None and not (a > prev_end):

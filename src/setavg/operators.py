@@ -1,10 +1,10 @@
 """Sample-based positive operators for set-valued functions.
 
 The operators are written against a minimal "averageable space" interface
-(a distance and a weighted average satisfying the averaged-distance
-inequality), so the interval-set instance and the plain real-number
-instance share one code path; the real instance doubles as an oracle in
-the tests.
+(a distance, and a plan of a point collection that maps weights to their
+average, satisfying the averaged-distance inequality), so the interval-set
+instance and the plain real-number instance share one code path,
+`operator_on_grid`; the real instance doubles as an oracle in the tests.
 """
 
 from __future__ import annotations
@@ -28,11 +28,13 @@ T = TypeVar("T")
 
 class AverageableSpace(Protocol[T]):
     """A metric space with a weighted average whose distance to any of the
-    averaged points is bounded by the weighted average of distances."""
+    averaged points is bounded by the weighted average of distances.
+    `plan(points)` does the weight-independent work once and returns the
+    map from a weight vector to the average of the points."""
 
     def distance(self, a: T, b: T) -> Fraction: ...
 
-    def weighted_average(self, points: Sequence[T], weights: Sequence[Fraction]) -> T: ...
+    def plan(self, points: Sequence[T]) -> Callable[[Sequence[Fraction]], T]: ...
 
 
 class IntervalSetSpace:
@@ -46,8 +48,8 @@ class IntervalSetSpace:
     def distance(self, a: IntervalSet, b: IntervalSet) -> Fraction:
         return sym_diff_distance(a, b)
 
-    def weighted_average(self, points, weights) -> IntervalSet:
-        return partition_average(points, weights, self.cfg)
+    def plan(self, points) -> Callable[[Sequence[Fraction]], IntervalSet]:
+        return PartitionPlan(points, self.cfg).average
 
 
 class RealSpace:
@@ -57,9 +59,14 @@ class RealSpace:
     def distance(self, a: Fraction, b: Fraction) -> Fraction:
         return abs(a - b)
 
-    def weighted_average(self, points, weights) -> Fraction:
-        w = check_weights(weights, len(points))
-        return sum((wi * p for wi, p in zip(w, points) if wi), Fraction(0))
+    def plan(self, points) -> Callable[[Sequence[Fraction]], Fraction]:
+        points = tuple(points)
+
+        def average(weights) -> Fraction:
+            w = check_weights(weights, len(points))
+            return sum((wi * p for wi, p in zip(w, points) if wi), Fraction(0))
+
+        return average
 
 
 REAL_SPACE = RealSpace()
@@ -82,27 +89,32 @@ class SampledSVF:
         return self.evaluate(as_rational(x))
 
 
-def uniform_nodes(n: int) -> list[Fraction]:
-    """The node grid i/n, i = 0..n, of a degree-n operator."""
+def _gate(n: int, x=0) -> Fraction:
+    """The one degree/point check of the operators: n >= 1 and x an exact
+    rational in [0, 1].  Returns x as a Fraction."""
+    x = as_rational(x)
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
+    if not (0 <= x <= 1):
+        raise ValueError(f"x must lie in [0, 1], got {x}")
+    return x
+
+
+def uniform_nodes(n: int) -> list[Fraction]:
+    """The node grid i/n, i = 0..n, of a degree-n operator."""
+    _gate(n)
     return [Fraction(i, n) for i in range(n + 1)]
 
 
 def bernstein_weights(n: int, x) -> tuple[Fraction, ...]:
     """Binomial point probabilities C(n,i) x^i (1-x)^(n-i), exact."""
-    x = as_rational(x)
-    if not (0 <= x <= 1):
-        raise ValueError(f"x must lie in [0, 1], got {x}")
-    if n < 1:
-        raise ValueError("degree must be >= 1")
+    x = _gate(n, x)
     return tuple(
         Fraction(math.comb(n, i)) * x**i * (1 - x) ** (n - i) for i in range(n + 1)
     )
 
 
 def bernstein_real(f: Callable[[Fraction], Fraction], n: int, x) -> Fraction:
-    x = as_rational(x)
     w = bernstein_weights(n, x)
     return sum((w[i] * Fraction(f(Fraction(i, n))) for i in range(n + 1)), Fraction(0))
 
@@ -129,11 +141,7 @@ class PiecewiseLinearScheme:
         return uniform_nodes(n)
 
     def weights(self, n: int, x) -> tuple[Fraction, ...]:
-        x = as_rational(x)
-        if not (0 <= x <= 1):
-            raise ValueError(f"x must lie in [0, 1], got {x}")
-        if n < 1:
-            raise ValueError("degree must be >= 1")
+        x = _gate(n, x)
         w = [Fraction(0)] * (n + 1)
         scaled = x * n
         k = min(int(scaled), n - 1)
@@ -157,6 +165,20 @@ def bernstein_svf(
     return positive_operator(F, BERNSTEIN_SCHEME, n, x, IntervalSetSpace(cfg))
 
 
+def _decasteljau(F: SampledSVF, n: int, x, cfg: AverageConfig, keep_samples: bool) -> IntervalSet:
+    """The de Casteljau recursion on the samples F(i/n): each level replaces
+    every neighbouring pair (a, b) by the partition average of a and b with
+    weights (1-x, x), taken with the samples at weight zero if keep_samples."""
+    x = _gate(n, x)
+    samples = [F(node) for node in uniform_nodes(n)]
+    context = samples if keep_samples else []
+    w = [Fraction(0)] * len(context) + [1 - x, x]
+    level = samples
+    while len(level) > 1:
+        level = [partition_average(context + [a, b], w, cfg) for a, b in zip(level, level[1:])]
+    return level[0]
+
+
 def decasteljau_svf(
     F: SampledSVF, n: int, x, cfg: AverageConfig = CENTROID_OF_UNION
 ) -> IntervalSet:
@@ -166,19 +188,11 @@ def decasteljau_svf(
     {F(0/n), ..., F(n/n), A, B} with weights (0, ..., 0, 1-x, x): keeping
     the original samples (at weight zero) in every partition makes the
     distance from the result to each sample exactly the binomially weighted
-    average of sample distances.
+    average of sample distances.  When all partition elements share one
+    reference point (centroid of the union, or a fixed point) the result
+    equals bernstein_svf exactly; per-element centroids can make it differ.
     """
-    x = as_rational(x)
-    samples = [F(node) for node in uniform_nodes(n)]
-    zero = [Fraction(0)] * (n + 1)
-
-    def tilde_average(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-        return partition_average(samples + [a, b], zero + [1 - x, x], cfg)
-
-    level = list(samples)
-    while len(level) > 1:
-        level = [tilde_average(level[i], level[i + 1]) for i in range(len(level) - 1)]
-    return level[0]
+    return _decasteljau(F, n, x, cfg, keep_samples=True)
 
 
 def decasteljau_naive(
@@ -187,29 +201,24 @@ def decasteljau_naive(
     """Plain binary-average de Casteljau recursion.  Because the partition
     average is not associative this differs from the Bernstein operator and
     is not expected to converge; shipped for demonstration only."""
-    x = as_rational(x)
-    level = [F(node) for node in uniform_nodes(n)]
-    while len(level) > 1:
-        level = [
-            partition_average([level[i], level[i + 1]], [1 - x, x], cfg)
-            for i in range(len(level) - 1)
-        ]
-    return level[0]
+    return _decasteljau(F, n, x, cfg, keep_samples=False)
 
 
-def positive_operator(
-    F: Callable[[Fraction], T],
-    scheme,
-    n: int,
-    x,
-    space: AverageableSpace,
-) -> T:
-    """Generic positive sample-based operator: the space's weighted average
-    of the samples at the scheme's nodes."""
-    x = as_rational(x)
-    nodes = scheme.nodes(n)
-    samples = [F(node) for node in nodes]
-    return space.weighted_average(samples, scheme.weights(n, x))
+def operator_on_grid(
+    samples: Sequence[T], scheme, n: int, grid: Sequence[Fraction], space: AverageableSpace
+) -> list[T]:
+    """The operator at every grid point: the space's average of the samples
+    at the scheme's nodes.  Only the weights depend on x, so every point
+    shares one plan of the samples."""
+    average = space.plan(samples)
+    return [average(scheme.weights(n, x)) for x in grid]
+
+
+def positive_operator(F: Callable[[Fraction], T], scheme, n: int, x, space: AverageableSpace) -> T:
+    """Generic positive sample-based operator: the one-point case of
+    operator_on_grid.  n and x are checked before any sample is evaluated."""
+    x = _gate(n, x)
+    return operator_on_grid([F(node) for node in scheme.nodes(n)], scheme, n, [x], space)[0]
 
 
 def dominance_holds(weights_a: Sequence[Fraction], weights_b: Sequence[Fraction]) -> bool:
@@ -229,37 +238,21 @@ def dominance_holds(weights_a: Sequence[Fraction], weights_b: Sequence[Fraction]
     return True
 
 
-def _check_monotone(samples: Sequence[IntervalSet]) -> bool:
-    """True for nested non-decreasing, also accepts non-increasing."""
-    non_dec = all(contains_ae(samples[i + 1], samples[i]) for i in range(len(samples) - 1))
-    non_inc = all(contains_ae(samples[i], samples[i + 1]) for i in range(len(samples) - 1))
-    return non_dec or non_inc
-
-
-def grid_averages(
-    samples: Sequence[IntervalSet],
-    scheme,
-    n: int,
-    grid: Sequence[Fraction],
-    cfg: AverageConfig = CENTROID_OF_UNION,
-) -> list[IntervalSet]:
-    """The set-valued operator at every grid point.  Only the weights depend
-    on x, so all points share one partition plan of the samples."""
-    plan = PartitionPlan(samples, cfg)
-    return [plan.average(scheme.weights(n, x)) for x in grid]
+def _secants(distance, grid: Sequence[Fraction], values: Sequence[T]) -> list[Fraction]:
+    """Finite-difference speeds distance(values[k], values[k+1]) / (grid[k+1] - grid[k])."""
+    steps = zip(grid, grid[1:], values, values[1:])
+    return [distance(u, v) / (b - a) for a, b, u, v in steps]
 
 
 def nested_speeds(
     samples: Sequence[IntervalSet], grid: Sequence[Fraction], values: Sequence[IntervalSet]
 ) -> list[Fraction]:
     """Finite-difference speeds d(values[k], values[k+1]) / (grid[k+1] - grid[k])
-    of an operator built on nested samples."""
-    if not _check_monotone(samples):
+    of an operator built on nested (non-decreasing or non-increasing) samples."""
+    pairs = list(zip(samples, samples[1:]))
+    if not (all(contains_ae(b, a) for a, b in pairs) or all(contains_ae(a, b) for a, b in pairs)):
         raise ValueError("speed profile requires a monotone (nested) SVF")
-    return [
-        sym_diff_distance(values[k], values[k + 1]) / (grid[k + 1] - grid[k])
-        for k in range(len(grid) - 1)
-    ]
+    return _secants(sym_diff_distance, grid, values)
 
 
 def speed_profile(
@@ -277,7 +270,8 @@ def speed_profile(
     """
     grid = [as_rational(g) for g in grid]
     samples = [F(node) for node in scheme.nodes(n)]
-    return nested_speeds(samples, grid, grid_averages(samples, scheme, n, grid, cfg))
+    values = operator_on_grid(samples, scheme, n, grid, IntervalSetSpace(cfg))
+    return nested_speeds(samples, grid, values)
 
 
 def measure_profile_secants(
@@ -287,12 +281,5 @@ def measure_profile_secants(
     independent real-valued counterpart of speed_profile."""
     grid = [as_rational(g) for g in grid]
     mu_samples = [measure(F(node)) for node in scheme.nodes(n)]
-
-    def real_op(g: Fraction) -> Fraction:
-        return REAL_SPACE.weighted_average(mu_samples, scheme.weights(n, g))
-
-    values = [real_op(g) for g in grid]
-    return [
-        abs(values[k + 1] - values[k]) / (grid[k + 1] - grid[k])
-        for k in range(len(grid) - 1)
-    ]
+    values = operator_on_grid(mu_samples, scheme, n, grid, REAL_SPACE)
+    return _secants(REAL_SPACE.distance, grid, values)

@@ -56,6 +56,8 @@ class AverageConfig:
             raise ValueError(f"unknown reference-point kind: {self.kind!r}")
         if self.kind == "fixed" and self.point is None:
             raise ValueError("fixed reference point requires a value")
+        if self.point is not None:
+            object.__setattr__(self, "point", as_rational(self.point))
 
 
 CENTROID_OF_UNION = AverageConfig("centroid")
@@ -63,7 +65,7 @@ PER_ELEMENT_CENTROID = AverageConfig("per-element")
 
 
 def fixed_point(p) -> AverageConfig:
-    return AverageConfig("fixed", as_rational(p))
+    return AverageConfig("fixed", p)
 
 
 def check_weights(weights: Sequence[Fraction], count: int) -> tuple[Fraction, ...]:

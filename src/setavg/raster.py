@@ -25,6 +25,14 @@ from .multivariate import Point2, orientation
 from .partition import check_weights, group_by_signature
 
 
+def _cell_size(cell_size) -> Fraction:
+    """The one cell-size check: an exact rational h > 0."""
+    h = as_rational(cell_size)
+    if h <= 0:
+        raise ValueError(f"cell size must be positive, got {h}")
+    return h
+
+
 def _lattice(points: Sequence[Point2], ox: Fraction, oy: Fraction, h: Fraction) -> tuple[int, list]:
     """L and the lattice images of the points scaled by their common denominator L."""
     images = [(2 * (p.x - ox) / h, 2 * (p.y - oy) / h) for p in points]
@@ -127,9 +135,7 @@ def rasterize(
     height: int,
 ) -> RasterSet:
     """Occupancy grid: a cell is set iff its center lies inside the shape."""
-    ox, oy, h = as_rational(origin[0]), as_rational(origin[1]), as_rational(cell_size)
-    if h <= 0:
-        raise ValueError(f"cell size must be positive, got {h}")
+    ox, oy, h = as_rational(origin[0]), as_rational(origin[1]), _cell_size(cell_size)
     scale, (u0, v0, u1, v1), inside = shape.lattice(ox, oy, h)
     if u0 < 0 or v0 < 0 or u1 > 2 * width * scale or v1 > 2 * height * scale:
         raise ValueError("shape exceeds the grid extent")
@@ -230,7 +236,7 @@ def write_pgm(grid: RasterSet | Sequence[RasterSet], path: str) -> None:
 
 def rasterize_1d(a: IntervalSet, lo: Fraction, cell_size: Fraction, n_cells: int) -> frozenset[int]:
     """Cells (on a 1-D grid) whose centers lie inside the interval set."""
-    lo, h = as_rational(lo), as_rational(cell_size)
+    lo, h = as_rational(lo), _cell_size(cell_size)
     cells = set()
     for x0, x1 in a.intervals:
         # x0 <= lo + (i + 1/2)h <= x1  iff  (x0 - lo)/h - 1/2 <= i <= (x1 - lo)/h - 1/2
@@ -250,7 +256,7 @@ def raster_average_measure_1d(
     """Measure of the grid partition average of 1-D interval sets: the
     brute-force counterpart of the exact partition-average measure."""
     w = check_weights(weights, len(sets))
-    h = as_rational(cell_size)
+    h = _cell_size(cell_size)
     groups = group_by_signature(rasterize_1d(s, lo, h, n_cells) for s in sets)
     total_cells = 0
     for sig, cells in groups.items():

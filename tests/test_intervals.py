@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from setavg.intervals import (
     EMPTY,
     EmptySetError,
+    IntervalSet,
     canonicalize,
     centroid,
     contains_ae,
@@ -18,6 +19,13 @@ from setavg.intervals import (
     sym_diff_distance,
     union,
 )
+
+
+def test_endpoints_must_be_fractions():
+    for pair in ((0.1, F(1, 2)), (F(1, 10), 0.5), (0, F(1))):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            IntervalSet((pair,))
+    assert measure(IntervalSet(((F(1, 10), F(1, 2)),))) == F(2, 5)
 
 
 def test_canonicalize_merges_touching():

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from setavg.catalog import BUILTIN_SVFS, run_convergence, run_monotone_check
+from setavg.catalog import BUILTIN_SVFS, dyadic_sqrt, run_convergence, run_monotone_check
 from setavg.intervals import contains_ae, from_pairs, measure, sym_diff_distance
 from setavg.multivariate import Point2
 from setavg.operators import (
@@ -20,10 +20,18 @@ from setavg.operators import (
     decasteljau_svf,
     dominance_holds,
     measure_profile_secants,
+    operator_on_grid,
     positive_operator,
     speed_profile,
 )
-from setavg.partition import CENTROID_OF_UNION, fixed_point, partition_average, subset_generate
+from setavg.partition import (
+    CENTROID_OF_UNION,
+    PER_ELEMENT_CENTROID,
+    AverageConfig,
+    fixed_point,
+    partition_average,
+    subset_generate,
+)
 from setavg.raster import Ellipse, Rectangle, raster_average_measure_1d, rasterize, rasterize_1d
 
 from conftest import random_interval_set
@@ -91,13 +99,26 @@ class TestSchemes:
                 scheme.weights(0, F(1, 2))
 
 
+def never(x):
+    raise AssertionError(f"sample evaluated at {x}")
+
+
 @pytest.mark.parametrize("op", [bernstein_svf, decasteljau_svf, decasteljau_naive])
 def test_operator_degree_zero_rejected_before_sampling(op):
-    def never(x):
-        raise AssertionError(f"sample evaluated at {x}")
-
     with pytest.raises(ValueError, match="degree"):
         op(SampledSVF(never), 0, F(1, 2))
+
+
+@pytest.mark.parametrize("op", [
+    bernstein_svf,
+    decasteljau_svf,
+    decasteljau_naive,
+    lambda G, n, x: positive_operator(G, PIECEWISE_LINEAR_SCHEME, n, x, REAL_SPACE),
+], ids=["bernstein_svf", "decasteljau_svf", "decasteljau_naive", "pl_real_operator"])
+@pytest.mark.parametrize("x", [F(3, 2), F(-1, 4)], ids=["3/2", "-1/4"])
+def test_operator_point_outside_unit_interval_rejected_before_sampling(op, x):
+    with pytest.raises(ValueError, match=r"x must lie in \[0, 1\]"):
+        op(SampledSVF(never), 2, x)
 
 
 UNIT = from_pairs([(0, 1)])
@@ -115,6 +136,8 @@ POINT_ENTRY_POINTS = {
     "decasteljau_naive": lambda q: decasteljau_naive(GROW, 2, q),
     "sampled_svf": lambda q: GROW(q),
     "fixed_point": lambda q: fixed_point(q),
+    "average_config_point": lambda q: AverageConfig("fixed", q),
+    "dyadic_sqrt": lambda q: dyadic_sqrt(q),
     "subset_generate_t": lambda q: subset_generate(from_pairs([(0, 2)]), q, F(0)),
     "subset_generate_p": lambda q: subset_generate(from_pairs([(0, 2)]), F(1, 2), q),
     "speed_profile": lambda q: speed_profile(GROW, BERNSTEIN_SCHEME, 2, [F(0), q]),
@@ -189,10 +212,21 @@ class TestBernsteinSVF:
 
 class TestDeCasteljau:
     def test_degree_one_equals_bernstein(self, rng):
-        for _ in range(5):
-            G = step_svf([random_interval_set(rng), random_interval_set(rng)])
-            x = F(rng.randint(0, 8), 8)
-            assert decasteljau_svf(G, 1, x) == bernstein_svf(G, 1, x)
+        # with one reference point shared by all elements the recursion is
+        # the Bernstein operator exactly, at every degree
+        for cfg in (CENTROID_OF_UNION, fixed_point(F(3, 2))):
+            for n in range(1, 6):
+                for _ in range(5):
+                    G = step_svf([random_interval_set(rng) for _ in range(n + 1)])
+                    x = F(rng.randint(0, 8), 8)
+                    assert decasteljau_svf(G, n, x, cfg) == bernstein_svf(G, n, x, cfg), (cfg, n)
+
+    def test_per_element_centroids_differ_from_bernstein(self):
+        G = step_svf([from_pairs([(0, 4)]), from_pairs([(0, 4)]), from_pairs([(1, 2)])])
+        got = decasteljau_svf(G, 2, F(1, 2), PER_ELEMENT_CENTROID)
+        assert got == from_pairs([(F(1, 6), F(41, 12))])
+        assert bernstein_svf(G, 2, F(1, 2), PER_ELEMENT_CENTROID) == \
+            from_pairs([(F(13, 24), F(91, 24))])
 
     def test_endpoints(self):
         assert decasteljau_svf(GROW, 3, F(0)) == GROW(F(0))
@@ -237,6 +271,21 @@ class TestPositiveOperator:
         for n, x in ((2, F(1, 2)), (5, F(1, 3))):
             got = positive_operator(f, BERNSTEIN_SCHEME, n, x, REAL_SPACE)
             assert got == bernstein_real(f, n, x)
+
+    def test_grid_matches_fresh_averages(self):
+        # one plan serves every grid point, in both spaces
+        grid = [F(k, 6) for k in range(7)]
+        cfg = fixed_point(1)
+        for scheme in (BERNSTEIN_SCHEME, PIECEWISE_LINEAR_SCHEME):
+            sets = [SPLIT(node) for node in scheme.nodes(3)]
+            mus = [measure(s) for s in sets]
+            weights = [scheme.weights(3, x) for x in grid]
+            assert operator_on_grid(sets, scheme, 3, grid, IntervalSetSpace(cfg)) == [
+                partition_average(sets, w, cfg) for w in weights
+            ]
+            assert operator_on_grid(mus, scheme, 3, grid, REAL_SPACE) == [
+                sum(wi * m for wi, m in zip(w, mus)) for w in weights
+            ]
 
     def test_pl_interpolates_between_nodes(self):
         space = IntervalSetSpace(CENTROID_OF_UNION)

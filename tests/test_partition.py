@@ -238,7 +238,7 @@ class TestWeightCheck:
         "expected_pairwise_distance_integral":
             lambda w: expected_pairwise_distance_integral([A01, A02], w, w),
         "average_distance_integral": lambda w: average_distance_integral([A01, A02], w, w),
-        "real_space": lambda w: REAL_SPACE.weighted_average([F(1), F(2)], w),
+        "real_space": lambda w: REAL_SPACE.plan([F(1), F(2)])(w),
         "raster_partition_average": lambda w: raster_partition_average(
             [rasterize(Rectangle(Point2(0, 0), Point2(1, 1)), (F(0), F(0)), F(1, 2), 4, 4)] * 2,
             w, Point2(0, 0)),

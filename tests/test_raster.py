@@ -53,9 +53,14 @@ class TestRasterize:
 
     def test_nonpositive_cell_size_rejected(self):
         square = Rectangle(Point2(0, 0), Point2(1, 1))
-        for h in (F(0), F(-1, 2)):
+        unit = canonicalize([(0, 1)])
+        for h in (F(0), F(-1, 2), F(-1, 4)):
             with pytest.raises(ValueError, match="cell size must be positive"):
                 rasterize(square, ORIGIN, h, 4, 4)
+            with pytest.raises(ValueError, match="cell size must be positive"):
+                rasterize_1d(unit, F(0), h, 8)
+            with pytest.raises(ValueError, match="cell size must be positive"):
+                raster_average_measure_1d([unit], [F(1)], F(0), h, 8)
 
     def test_shape_outside_grid_rejected(self):
         with pytest.raises(ValueError):
