@@ -23,13 +23,14 @@ from .intervals import (
 from .multivariate import Point2
 from .operators import (
     BERNSTEIN_SCHEME,
+    REAL_SPACE,
     SCHEMES,
     IntervalSetSpace,
     SampledSVF,
+    _secants,
     bernstein_svf,
     decasteljau_svf,
     dominance_holds,
-    measure_profile_secants,
     nested_speeds,
     operator_on_grid,
 )
@@ -177,19 +178,21 @@ def run_monotone_check(
     F = _lookup(BUILTIN_SVFS, svf_name, "built-in SVF")
     scheme = _lookup(SCHEMES, scheme_name, "scheme")
     grid = sorted(as_rational(g) for g in x_grid)
+    # each sample is evaluated once and each grid point's weights are
+    # computed once; both serve the set and the real-valued operator
     samples = [F(node) for node in scheme.nodes(n)]
-    values = operator_on_grid(samples, scheme, n, grid, IntervalSetSpace(cfg))
-    dom_ok = all(
-        dominance_holds(scheme.weights(n, a), scheme.weights(n, b))
-        for a, b in zip(grid, grid[1:])
-    )
+    weights = [scheme.weights(n, x) for x in grid]
+    average = IntervalSetSpace(cfg).plan(samples)
+    values = [average(w) for w in weights]
+    dom_ok = all(dominance_holds(a, b) for a, b in zip(weights, weights[1:]))
     violations = tuple(
         (a, b)
         for (a, va), (b, vb) in zip(zip(grid, values), zip(grid[1:], values[1:]))
         if not contains_ae(vb, va)
     )
     speeds = nested_speeds(samples, grid, values)
-    secants = measure_profile_secants(F, scheme, n, grid)
+    average_measure = REAL_SPACE.plan([measure(s) for s in samples])
+    secants = _secants(REAL_SPACE.distance, grid, [average_measure(w) for w in weights])
     speed_ok = speeds == secants
     return MonotoneReport(
         ok=dom_ok and not violations and speed_ok,

@@ -164,9 +164,9 @@ def multivar(ctx, points_file, levels, svf, query):
     q = Point2(qx, qy)
     F = catalog.plane_svf
     L = catalog.PLANE_LIPSCHITZ
-    base = triangulate(points)
+    sequence = refinement_sequence(triangulate(points), levels)
     click.echo("level,Delta,query_x,query_y,error,bound")
-    for level, tri in enumerate(refinement_sequence(base, levels)):
+    for level, tri in enumerate(sequence):
         approx = pl_interpolant_svf(F, tri, q, ctx.obj["cfg"])
         err = sym_diff_distance(F(q), approx)
         bound = 2.0 * L * float(tri.mesh_diameter)

@@ -21,7 +21,10 @@ class EmptySetError(ValueError):
 
 
 def as_rational(value: RationalLike) -> Fraction:
-    """Coerce ints, Fractions and exact strings ("5/2", "0.75") to Fraction."""
+    """Coerce ints, Fractions and exact strings ("5/2", "0.75") to Fraction.
+    Floats and booleans raise TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"not an exact rational: {value!r}")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):

@@ -180,16 +180,18 @@ def triangulate(raw_points: Sequence[Point2]) -> Triangulation:
 
 def refine(t: Triangulation) -> Triangulation:
     """Midpoint subdivision: every triangle splits into 4 similar halves,
-    so the circumdiameter bound halves exactly and the point set is nested."""
+    so the circumdiameter bound halves exactly and the point set is nested.
+    Each edge's midpoint is built once, the first time the edge is met."""
     points = list(t.points)
-    index = {p: i for i, p in enumerate(points)}
+    midpoints: dict[tuple[int, int], int] = {}
 
     def midpoint(i: int, j: int) -> int:
-        p = Point2((points[i].x + points[j].x) / 2, (points[i].y + points[j].y) / 2)
-        if p not in index:
-            index[p] = len(points)
-            points.append(p)
-        return index[p]
+        edge = (i, j) if i < j else (j, i)
+        if edge not in midpoints:
+            a, b = points[i], points[j]
+            midpoints[edge] = len(points)
+            points.append(Point2((a.x + b.x) / 2, (a.y + b.y) / 2))
+        return midpoints[edge]
 
     new_triangles = []
     for i, j, k in t.triangles:
@@ -202,6 +204,8 @@ def refine(t: Triangulation) -> Triangulation:
 
 
 def refinement_sequence(base: Triangulation, levels: int) -> list[Triangulation]:
+    if levels < 0:
+        raise ValueError(f"levels must be >= 0, got {levels}")
     seq = [base]
     for _ in range(levels):
         seq.append(refine(seq[-1]))
@@ -210,16 +214,26 @@ def refinement_sequence(base: Triangulation, levels: int) -> list[Triangulation]
 
 def locate_triangle(t: Triangulation, p: Point2) -> int:
     """Index of the lowest-index triangle containing p (boundary points go
-    to the lowest-index owner; weights agree on shared edges)."""
+    to the lowest-index owner; weights agree on shared edges).
+
+    The orientation signs are taken in integers: every coordinate is scaled
+    by the common denominator of the points and p, which keeps each sign.
+    The three orientations of p against the edges of abc sum to the
+    orientation of abc, so p is inside a ccw triangle iff all three are
+    >= 0, and inside a cw one iff all three are <= 0."""
+    scale = math.lcm(p.x.denominator, p.y.denominator,
+                     *(c.denominator for q in t.points for c in (q.x, q.y)))
+    xs = [q.x.numerator * (scale // q.x.denominator) for q in t.points]
+    ys = [q.y.numerator * (scale // q.y.denominator) for q in t.points]
+    px = p.x.numerator * (scale // p.x.denominator)
+    py = p.y.numerator * (scale // p.y.denominator)
+
+    def side(i: int, j: int) -> int:
+        return (xs[j] - xs[i]) * (py - ys[i]) - (ys[j] - ys[i]) * (px - xs[i])
+
     for ti, (i, j, k) in enumerate(t.triangles):
-        a, b, c = t.points[i], t.points[j], t.points[k]
-        if orientation(a, b, c) < 0:
-            a, b = b, a
-        if (
-            orientation(a, b, p) >= 0
-            and orientation(b, c, p) >= 0
-            and orientation(c, a, p) >= 0
-        ):
+        d = (side(i, j), side(j, k), side(k, i))
+        if min(d) >= 0 or (max(d) <= 0 and sum(d) < 0):
             return ti
     raise OutsideDomainError(f"point ({p.x}, {p.y}) is outside the triangulated domain")
 

@@ -92,6 +92,8 @@ class SampledSVF:
 def _gate(n: int, x=0) -> Fraction:
     """The one degree/point check of the operators: n >= 1 and x an exact
     rational in [0, 1].  Returns x as a Fraction."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError(f"degree must be an int, got {n!r}")
     x = as_rational(x)
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
@@ -240,8 +242,12 @@ def dominance_holds(weights_a: Sequence[Fraction], weights_b: Sequence[Fraction]
 
 def _secants(distance, grid: Sequence[Fraction], values: Sequence[T]) -> list[Fraction]:
     """Finite-difference speeds distance(values[k], values[k+1]) / (grid[k+1] - grid[k])."""
-    steps = zip(grid, grid[1:], values, values[1:])
-    return [distance(u, v) / (b - a) for a, b, u, v in steps]
+    speeds = []
+    for a, b, u, v in zip(grid, grid[1:], values, values[1:]):
+        if a == b:
+            raise ValueError(f"repeated grid point {a}")
+        speeds.append(distance(u, v) / (b - a))
+    return speeds
 
 
 def nested_speeds(

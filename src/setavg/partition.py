@@ -116,18 +116,35 @@ def partition_of_union(sets: Sequence[IntervalSet]) -> Partition:
     return Partition(sets, elements)
 
 
+def _int_weights(w: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Checked weights as integer numerators over their least common
+    denominator, so that coverage sums stay in int arithmetic."""
+    denom = math.lcm(*(x.denominator for x in w))
+    return [x.numerator * (denom // x.denominator) for x in w], denom
+
+
+def _coverage_sums(signatures: Sequence[frozenset[int]], nums: Sequence[int]) -> list[int]:
+    """Per signature, the sum of nums over its indices.  Each sum runs over
+    the shorter of the signature and the list of nonzero entries: long
+    signatures with sparse weights and dense weights with short signatures
+    both stay cheap."""
+    nonzero = [i for i, v in enumerate(nums) if v]
+    return [
+        sum(nums[i] for i in sig) if len(sig) <= len(nonzero)
+        else sum(nums[i] for i in nonzero if i in sig)
+        for sig in signatures
+    ]
+
+
 def coverage_values(
     partition: Partition, weights: Sequence[Fraction]
 ) -> list[tuple[frozenset[int], Fraction]]:
     """Per-element coverage: the summed weight of the covering sets."""
-    w = check_weights(weights, len(partition.sets))
-    # common-denominator numerators keep the sums in int arithmetic; with
-    # many sets (large operator degrees) this dominates
-    denom = math.lcm(*(x.denominator for x in w))
-    nums = [x.numerator * (denom // x.denominator) for x in w]
+    nums, denom = _int_weights(check_weights(weights, len(partition.sets)))
+    signatures = [el.signature for el in partition.elements]
     return [
-        (el.signature, Fraction(sum(nums[i] for i in el.signature), denom))
-        for el in partition.elements
+        (sig, Fraction(total, denom))
+        for sig, total in zip(signatures, _coverage_sums(signatures, nums))
     ]
 
 
@@ -188,19 +205,36 @@ def subset_generate(a: IntervalSet, t, p) -> IntervalSet:
     return canonicalize(_RadiusTable(a, p).ball_subset(t))
 
 
+def _tiling_centroid(elements: Sequence[PartitionElement]) -> Fraction:
+    """Centroid of the union of the sets from its first moment, summed over
+    the element regions, which tile the union."""
+    pieces = [iv for el in elements for iv in el.region.intervals]
+    mass = sum((b - a for a, b in pieces), Fraction(0))
+    return sum((b * b - a * a for a, b in pieces), Fraction(0)) / (2 * mass)
+
+
 class PartitionPlan:
     """The weight-independent part of partition averages over one
     collection of sets: the partition of the union, the reference point,
     and one radius table per partition element.  Build it once and call
     `average` for every weight vector; a table is built the first time its
-    element gets a nonzero coverage."""
+    element gets a nonzero coverage.
+
+    Equal sets cover the same segments, so they yield the same elements and
+    the same reference point: the partition is built over the distinct sets
+    only, and `average` adds the weights of equal sets together."""
 
     def __init__(self, sets: Sequence[IntervalSet], cfg: AverageConfig = CENTROID_OF_UNION):
-        self.partition = partition_of_union(sets)
+        self.sets = tuple(sets)
+        classes: dict[IntervalSet, int] = {}
+        self._class_of = [classes.setdefault(s, len(classes)) for s in self.sets]
+        self.partition = partition_of_union(list(classes))
+        self._signatures = [el.signature for el in self.partition.elements]
         self._shared_p = None
         if cfg.kind != "per-element" and self.partition.elements:
-            all_union = canonicalize([iv for s in self.partition.sets for iv in s.intervals])
-            self._shared_p = cfg.point if cfg.kind == "fixed" else centroid(all_union)
+            self._shared_p = (
+                cfg.point if cfg.kind == "fixed" else _tiling_centroid(self.partition.elements)
+            )
         self._tables: list[_RadiusTable | None] = [None] * len(self.partition.elements)
 
     def _table(self, k: int) -> _RadiusTable:
@@ -214,11 +248,14 @@ class PartitionPlan:
     def average(self, weights: Sequence[Fraction]) -> IntervalSet:
         """Weighted average of the plan's sets: from each element, the ball
         subset whose measure is the element's coverage times its measure."""
-        coverage = coverage_values(self.partition, weights)
+        nums, denom = _int_weights(check_weights(weights, len(self.sets)))
+        folded = [0] * len(self.partition.sets)
+        for c, v in zip(self._class_of, nums):
+            folded[c] += v
         pieces = []
-        for k, (_, t) in enumerate(coverage):
-            if t:
-                pieces.extend(self._table(k).ball_subset(t))
+        for k, total in enumerate(_coverage_sums(self._signatures, folded)):
+            if total:
+                pieces.extend(self._table(k).ball_subset(Fraction(total, denom)))
         return canonicalize(pieces)
 
 

@@ -134,6 +134,15 @@ class TestMultivar:
             assert float(err) <= float(bound) + 1e-9
 
 
+    def test_negative_levels_is_usage_error(self, tmp_path):
+        path = tmp_path / "pts.json"
+        path.write_text(json.dumps([[0, 0], [1, 0], [0, 1], [1, 1]]))
+        res = invoke(["multivar", "--points", str(path), "--levels", "-1",
+                      "--query", "3/10,7/10"])
+        assert_usage_error(res, "levels must be >= 0, got -1")
+        assert "level,Delta" not in res.output
+
+
 class TestRaster:
     SHAPES = [
         {"type": "triangle", "points": [[1, 1], [9, 2], [4, 8]]},

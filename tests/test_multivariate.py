@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -11,6 +12,7 @@ from setavg.multivariate import (
     Point2,
     barycentric_weights,
     circumdiameter_bound,
+    locate_triangle,
     orientation,
     pl_interpolant_svf,
     pl_interpolant_zero_stripped,
@@ -91,6 +93,10 @@ class TestRefine:
         for coarse, fine in zip(seq, seq[1:]):
             assert set(coarse.points) <= set(fine.points)
             assert fine.mesh_diameter == coarse.mesh_diameter / 2
+
+    def test_negative_levels_rejected(self):
+        with pytest.raises(ValueError, match="levels must be >= 0"):
+            refinement_sequence(triangulate(UNIT_SQUARE), -1)
 
     def test_point_count_is_old_plus_edges(self):
         t = triangulate(UNIT_SQUARE)
@@ -192,3 +198,102 @@ class TestInterpolant:
             if prev is not None:
                 assert err <= prev + 1e-9
             prev = err
+
+
+# Oracles: the Fraction orientation scan and the value-indexed midpoint
+# refinement that locate_triangle and refine replaced.
+
+
+def scan_locate(t, p):
+    for ti, (i, j, k) in enumerate(t.triangles):
+        a, b, c = t.points[i], t.points[j], t.points[k]
+        if orientation(a, b, c) < 0:
+            a, b = b, a
+        if orientation(a, b, p) >= 0 and orientation(b, c, p) >= 0 and orientation(c, a, p) >= 0:
+            return ti
+    return None
+
+
+def value_indexed_refine(t):
+    points = list(t.points)
+    index = {p: i for i, p in enumerate(points)}
+
+    def midpoint(i, j):
+        p = Point2((points[i].x + points[j].x) / 2, (points[i].y + points[j].y) / 2)
+        if p not in index:
+            index[p] = len(points)
+            points.append(p)
+        return index[p]
+
+    new_triangles = []
+    for i, j, k in t.triangles:
+        ij, jk, ki = midpoint(i, j), midpoint(j, k), midpoint(k, i)
+        new_triangles.extend([(i, ij, ki), (ij, j, jk), (ki, jk, k), (ij, jk, ki)])
+    new_sorted = tuple(sorted(tuple(sorted(tr)) for tr in new_triangles))
+    return replace(t, points=tuple(points), triangles=new_sorted, mesh_diameter=t.mesh_diameter / 2)
+
+
+def random_triangulation(rng):
+    """Delaunay triangulation of 3-9 distinct points on a coarse rational
+    grid, so collinear and cocircular subsets are common."""
+    while True:
+        den = rng.choice([1, 2, 3, 4])
+        cells = [(i, j) for i in range(-2, 9) for j in range(-2, 9)]
+        pts = [Point2(F(i, den), F(j, den)) for i, j in rng.sample(cells, rng.randint(3, 9))]
+        try:
+            return triangulate(pts)
+        except DegenerateInputError:
+            continue
+
+
+def location_queries(rng, t):
+    """Vertices, edge midpoints, points a third along each edge, and random
+    points in and around the bounding box."""
+    edges = {tuple(sorted(e)) for i, j, k in t.triangles for e in ((i, j), (j, k), (k, i))}
+    queries = list(t.points)
+    for i, j in edges:
+        a, b = t.points[i], t.points[j]
+        queries.append(Point2((a.x + b.x) / 2, (a.y + b.y) / 2))
+        queries.append(Point2((2 * a.x + b.x) / 3, (2 * a.y + b.y) / 3))
+    xs, ys = [p.x for p in t.points], [p.y for p in t.points]
+    for _ in range(20):
+        queries.append(Point2(
+            min(xs) - 1 + (max(xs) - min(xs) + 2) * F(rng.randint(0, 97), 97),
+            min(ys) - 1 + (max(ys) - min(ys) + 2) * F(rng.randint(0, 89), 89),
+        ))
+    return queries
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_locate_triangle_matches_fraction_scan(seed):
+    rng = random.Random(seed)
+    for _ in range(8):
+        base = random_triangulation(rng)
+        for t in (base, refine(base)):
+            for q in location_queries(rng, t):
+                expected = scan_locate(t, q)
+                if expected is None:
+                    with pytest.raises(OutsideDomainError):
+                        locate_triangle(t, q)
+                else:
+                    assert locate_triangle(t, q) == expected
+
+
+def test_locate_triangle_on_shared_edge_takes_lowest_index():
+    t = triangulate(UNIT_SQUARE)
+    centre = Point2(F(1, 2), F(1, 2))  # on the diagonal both triangles share
+    owners = [ti for ti in range(len(t.triangles)) if scan_locate(
+        replace(t, triangles=t.triangles[ti:ti + 1]), centre) is not None]
+    assert owners == [0, 1]
+    assert locate_triangle(t, centre) == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_refine_matches_value_indexed_refine(seed):
+    rng = random.Random(50 + seed)
+    for _ in range(6):
+        t = random_triangulation(rng)
+        for _ in range(2):
+            expected = value_indexed_refine(t)
+            t = refine(t)
+            assert t == expected

@@ -1,11 +1,20 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from setavg.catalog import BUILTIN_SVFS, dyadic_sqrt, run_convergence, run_monotone_check
-from setavg.intervals import contains_ae, from_pairs, measure, sym_diff_distance
+from setavg import operators
+from setavg.catalog import (
+    BUILTIN_SVFS,
+    MonotoneReport,
+    dyadic_sqrt,
+    run_convergence,
+    run_monotone_check,
+    uniform_grid,
+)
+from setavg.intervals import as_rational, contains_ae, from_pairs, measure, sym_diff_distance
 from setavg.multivariate import Point2
 from setavg.operators import (
     BERNSTEIN_SCHEME,
@@ -23,11 +32,13 @@ from setavg.operators import (
     operator_on_grid,
     positive_operator,
     speed_profile,
+    uniform_nodes,
 )
 from setavg.partition import (
     CENTROID_OF_UNION,
     PER_ELEMENT_CENTROID,
     AverageConfig,
+    check_weights,
     fixed_point,
     partition_average,
     subset_generate,
@@ -168,6 +179,59 @@ def test_points_must_be_exact(name):
     call("1/10")
     with pytest.raises(TypeError, match="not an exact rational"):
         call(0.1)
+
+
+@pytest.mark.parametrize("call", [
+    as_rational,
+    lambda b: check_weights([b], 1),
+    lambda b: bernstein_weights(2, b),
+    lambda b: GROW(b),
+], ids=["as_rational", "check_weights", "bernstein_weights_x", "sampled_svf"])
+def test_booleans_are_not_rationals(call):
+    with pytest.raises(TypeError, match="not an exact rational: True"):
+        call(True)
+
+
+@pytest.mark.parametrize("n", [True, 2.0, F(2)], ids=["bool", "float", "fraction"])
+@pytest.mark.parametrize("call", [
+    lambda n: bernstein_weights(n, F(1, 2)),
+    lambda n: PIECEWISE_LINEAR_SCHEME.weights(n, F(1, 2)),
+    lambda n: decasteljau_svf(SampledSVF(never), n, F(1, 2)),
+], ids=["bernstein_weights", "pl_weights", "decasteljau_svf"])
+def test_degree_must_be_an_int(call, n):
+    with pytest.raises(TypeError, match="degree must be an int"):
+        call(n)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: speed_profile(GROW, BERNSTEIN_SCHEME, 2, g),
+    lambda g: measure_profile_secants(GROW, BERNSTEIN_SCHEME, 2, g),
+    lambda g: run_monotone_check("grow", "bernstein", 2, g),
+], ids=["speed_profile", "measure_profile_secants", "run_monotone_check"])
+def test_repeated_grid_point_rejected(call):
+    with pytest.raises(ValueError, match="repeated grid point 1/2"):
+        call([F(1, 2), F(1, 2)])
+
+
+def test_run_monotone_check_evaluates_samples_and_weights_once(monkeypatch):
+    samples, weights = Counter(), Counter()
+
+    def counted(x):
+        samples[x] += 1
+        return GROW.evaluate(x)
+
+    def counted_weights(n, x, real=operators.bernstein_weights):
+        weights[x] += 1
+        return real(n, x)
+
+    svf = SampledSVF(counted, GROW.holder_constant, GROW.holder_exponent, "counted")
+    monkeypatch.setitem(BUILTIN_SVFS, "counted", svf)
+    monkeypatch.setattr(operators, "bernstein_weights", counted_weights)
+    grid = uniform_grid(5)
+    report = run_monotone_check("counted", "bernstein", 4, grid)
+    assert report == MonotoneReport(True, True, (), True)
+    assert samples == Counter(uniform_nodes(4))
+    assert weights == Counter(grid)
 
 
 @pytest.mark.parametrize("runner", ["convergence", "monotone"])

@@ -29,6 +29,7 @@ from setavg.partition import (
     CENTROID_OF_UNION,
     PER_ELEMENT_CENTROID,
     PartitionPlan,
+    coverage_values,
     fixed_point,
     partition_average,
     partition_of_union,
@@ -206,3 +207,53 @@ def test_run_convergence_evaluates_each_node_once_per_degree(monkeypatch):
         approx = bernstein_svf(grow, row.n, row.x)
         assert row.measure == measure(approx)
         assert row.error == sym_diff_distance(grow(row.x), approx)
+
+
+def with_duplicates(rng):
+    """Random sets in which some occur several times, in shuffled order."""
+    base = [random_interval_set(rng, span=8) for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.3:
+        base.append(EMPTY)
+    sets = base + [rng.choice(base) for _ in range(rng.randint(1, 5))]
+    rng.shuffle(sets)
+    return sets
+
+
+def dedupe_and_fold(sets, weights):
+    """The distinct sets in order of first occurrence, each with the summed
+    weight of its copies."""
+    folded = {}
+    for s, w in zip(sets, weights):
+        folded[s] = folded.get(s, F(0)) + w
+    return list(folded), list(folded.values())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_plan_over_duplicated_sets(seed):
+    rng = random.Random(300 + seed)
+    for _ in range(15):
+        sets = with_duplicates(rng)
+        vectors = [sparse_weights(rng, len(sets)) for _ in range(3)]
+        vectors += [random_weights(rng, len(sets)), vectors[0]]
+        for cfg in ALL_CFGS:
+            plan = PartitionPlan(sets, cfg)
+            assert plan.partition.sets == tuple(dict.fromkeys(sets))
+            for w in vectors:
+                distinct, folded = dedupe_and_fold(sets, w)
+                got = plan.average(w)
+                assert got == scan_average(sets, w, cfg)
+                assert got == PartitionPlan(distinct, cfg).average(folded)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_coverage_values_match_direct_sums(seed):
+    # sparse vectors take the sum over the nonzero weights, dense ones the
+    # sum over the signature
+    rng = random.Random(400 + seed)
+    for _ in range(30):
+        sets = with_duplicates(rng)
+        part = partition_of_union(sets)
+        for w in (sparse_weights(rng, len(sets)), random_weights(rng, len(sets))):
+            assert coverage_values(part, w) == [
+                (el.signature, sum((w[i] for i in el.signature), F(0))) for el in part.elements
+            ]
