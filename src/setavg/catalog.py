@@ -27,6 +27,7 @@ from .operators import (
     SCHEMES,
     IntervalSetSpace,
     SampledSVF,
+    _gate,
     _secants,
     bernstein_svf,
     decasteljau_svf,
@@ -95,6 +96,7 @@ class ExperimentRow:
 
 def holder_bound(L: Fraction, nu: Fraction, n: int, x: Fraction) -> float:
     """Rate bound L (1/n)^nu + L (x(1-x)/n)^(nu/2) for Lip(L, nu)."""
+    x = _gate(n, x)
     Lf, nuf = float(L), float(nu)
     return Lf * (1.0 / n) ** nuf + Lf * (float(x * (1 - x)) / n) ** (nuf / 2.0)
 

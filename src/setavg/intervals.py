@@ -2,13 +2,15 @@
 
 An IntervalSet is the canonical representative of a bounded 1-D set modulo
 null sets: a sorted tuple of pairwise disjoint closed intervals of positive
-length.  All arithmetic is done with `fractions.Fraction`, so every measure
-and distance computed here is exact.
+length.  All arithmetic is exact: endpoints are `fractions.Fraction`s, and
+measures and distances are summed as Python ints over the common
+denominator of the endpoints involved.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -98,10 +100,9 @@ def union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     return canonicalize(list(a.intervals) + list(b.intervals))
 
 
-def _overlaps(a: IntervalSet, b: IntervalSet):
-    """The positive-length pieces of a & b, in order, from one two-pointer
-    walk over the two sorted interval lists: O(|a| + |b|)."""
-    xs, ys = a.intervals, b.intervals
+def _overlaps(xs: Sequence[tuple], ys: Sequence[tuple]):
+    """The positive-length pieces of the overlap of two sorted lists of
+    disjoint intervals, in order, from one two-pointer walk: O(|xs| + |ys|)."""
     i = j = 0
     while i < len(xs) and j < len(ys):
         (x0, x1), (y0, y1) = xs[i], ys[j]
@@ -115,7 +116,7 @@ def _overlaps(a: IntervalSet, b: IntervalSet):
 
 
 def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return canonicalize(_overlaps(a, b))
+    return canonicalize(_overlaps(a.intervals, b.intervals))
 
 
 def difference(a: IntervalSet, b: IntervalSet) -> IntervalSet:
@@ -137,22 +138,41 @@ def difference(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     return canonicalize(out)
 
 
+def _common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The values as integer numerators over the lcm of their denominators."""
+    denom = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (denom // v.denominator) for v in values], denom
+
+
+def _length(pieces: Iterable[tuple[int, int]]) -> int:
+    return sum(hi - lo for lo, hi in pieces)
+
+
+def _scaled(*sets: IntervalSet) -> tuple[list[list[tuple[int, int]]], int]:
+    """The intervals of each set as int pairs over one common denominator
+    of all their endpoints.  Pieces of one average share most of their
+    denominator, so it stays small."""
+    ends, denom = _common_denominator([e for s in sets for iv in s.intervals for e in iv])
+    pairs = iter(zip(ends[::2], ends[1::2]))
+    return [[next(pairs) for _ in s.intervals] for s in sets], denom
+
+
 def measure(a: IntervalSet) -> Fraction:
-    return sum((b - x for x, b in a.intervals), Fraction(0))
-
-
-def _overlap_measure(a: IntervalSet, b: IntervalSet) -> Fraction:
-    return sum((hi - lo for lo, hi in _overlaps(a, b)), Fraction(0))
+    (xs,), denom = _scaled(a)
+    return Fraction(_length(xs), denom)
 
 
 def sym_diff_distance(a: IntervalSet, b: IntervalSet) -> Fraction:
-    """mu(a - b) + mu(b - a), computed as mu(a) + mu(b) - 2 mu(a & b)."""
-    return measure(a) + measure(b) - 2 * _overlap_measure(a, b)
+    """mu(a - b) + mu(b - a), computed as mu(a) + mu(b) - 2 mu(a & b) in
+    ints, with the overlap walk on the scaled endpoints."""
+    (xs, ys), denom = _scaled(a, b)
+    return Fraction(_length(xs) + _length(ys) - 2 * _length(_overlaps(xs, ys)), denom)
 
 
 def contains_ae(a: IntervalSet, b: IntervalSet) -> bool:
     """True iff b is a subset of a modulo a null set: mu(a & b) = mu(b)."""
-    return _overlap_measure(a, b) == measure(b)
+    (xs, ys), _ = _scaled(a, b)
+    return _length(_overlaps(xs, ys)) == _length(ys)
 
 
 def centroid(a: IntervalSet) -> Fraction:

@@ -204,6 +204,8 @@ def refine(t: Triangulation) -> Triangulation:
 
 
 def refinement_sequence(base: Triangulation, levels: int) -> list[Triangulation]:
+    if isinstance(levels, bool) or not isinstance(levels, int):
+        raise TypeError(f"levels must be an int, got {levels!r}")
     if levels < 0:
         raise ValueError(f"levels must be >= 0, got {levels}")
     seq = [base]

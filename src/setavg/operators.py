@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Protocol, Sequence, TypeVar
 
-from .intervals import IntervalSet, as_rational, contains_ae, measure, sym_diff_distance
+from .intervals import (
+    IntervalSet,
+    _common_denominator,
+    as_rational,
+    contains_ae,
+    measure,
+    sym_diff_distance,
+)
 from .partition import (
     AverageConfig,
     CENTROID_OF_UNION,
@@ -109,16 +116,23 @@ def uniform_nodes(n: int) -> list[Fraction]:
 
 
 def bernstein_weights(n: int, x) -> tuple[Fraction, ...]:
-    """Binomial point probabilities C(n,i) x^i (1-x)^(n-i), exact."""
+    """Binomial point probabilities C(n,i) x^i (1-x)^(n-i), exact: for
+    x = p/q, each is one Fraction of the ints C(n,i) p^i (q-p)^(n-i) and q^n."""
     x = _gate(n, x)
-    return tuple(
-        Fraction(math.comb(n, i)) * x**i * (1 - x) ** (n - i) for i in range(n + 1)
-    )
+    p, q = x.numerator, x.denominator
+    qn = q**n
+    return tuple(Fraction(math.comb(n, i) * p**i * (q - p) ** (n - i), qn) for i in range(n + 1))
 
 
 def bernstein_real(f: Callable[[Fraction], Fraction], n: int, x) -> Fraction:
-    w = bernstein_weights(n, x)
-    return sum((w[i] * Fraction(f(Fraction(i, n))) for i in range(n + 1)), Fraction(0))
+    """The real Bernstein polynomial sum_i C(n,i) x^i (1-x)^(n-i) f(i/n),
+    summed in ints over q^n times the common denominator of the f(i/n), for
+    x = p/q.  It does not use bernstein_weights, so it can check them."""
+    x = _gate(n, x)
+    p, q = x.numerator, x.denominator
+    values, denom = _common_denominator([Fraction(f(Fraction(i, n))) for i in range(n + 1)])
+    total = sum(math.comb(n, i) * p**i * (q - p) ** (n - i) * v for i, v in enumerate(values))
+    return Fraction(total, q**n * denom)
 
 
 class BernsteinScheme:

@@ -10,7 +10,6 @@ whole construction stays exact over the rationals.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +18,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 from .intervals import (
     EMPTY,
     IntervalSet,
+    _common_denominator,
     as_rational,
     canonicalize,
     centroid,
@@ -68,17 +68,27 @@ def fixed_point(p) -> AverageConfig:
     return AverageConfig("fixed", p)
 
 
-def check_weights(weights: Sequence[Fraction], count: int) -> tuple[Fraction, ...]:
-    """The one weight check: exactly `count` exact rationals, each >= 0,
-    summing to 1 exactly.  Floats raise TypeError."""
+def _checked_weights(
+    weights: Sequence[Fraction], count: int
+) -> tuple[tuple[Fraction, ...], list[int], int]:
+    """The weights as Fractions and as integer numerators over their least
+    common denominator, checked in ints: exactly `count` exact rationals,
+    each >= 0, summing to 1 exactly.  Floats raise TypeError."""
     w = tuple(as_rational(x) for x in weights)
     if len(w) != count:
         raise ValueError(f"need one weight per input: {len(w)} weights for {count} inputs")
-    if any(x < 0 for x in w):
+    nums, denom = _common_denominator(w)
+    if any(v < 0 for v in nums):
         raise ValueError("weights must be nonnegative")
-    if sum(w) != 1:
-        raise ValueError(f"weights must sum to 1 exactly, got {sum(w)}")
-    return w
+    if sum(nums) != denom:
+        raise ValueError(f"weights must sum to 1 exactly, got {Fraction(sum(nums), denom)}")
+    return w, nums, denom
+
+
+def check_weights(weights: Sequence[Fraction], count: int) -> tuple[Fraction, ...]:
+    """The one weight check: exactly `count` exact rationals, each >= 0,
+    summing to 1 exactly.  Floats raise TypeError."""
+    return _checked_weights(weights, count)[0]
 
 
 def group_by_signature(covers: Iterable[Iterable[Hashable]]) -> dict[frozenset[int], list]:
@@ -116,13 +126,6 @@ def partition_of_union(sets: Sequence[IntervalSet]) -> Partition:
     return Partition(sets, elements)
 
 
-def _int_weights(w: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Checked weights as integer numerators over their least common
-    denominator, so that coverage sums stay in int arithmetic."""
-    denom = math.lcm(*(x.denominator for x in w))
-    return [x.numerator * (denom // x.denominator) for x in w], denom
-
-
 def _coverage_sums(signatures: Sequence[frozenset[int]], nums: Sequence[int]) -> list[int]:
     """Per signature, the sum of nums over its indices.  Each sum runs over
     the shorter of the signature and the list of nonzero entries: long
@@ -140,7 +143,7 @@ def coverage_values(
     partition: Partition, weights: Sequence[Fraction]
 ) -> list[tuple[frozenset[int], Fraction]]:
     """Per-element coverage: the summed weight of the covering sets."""
-    nums, denom = _int_weights(check_weights(weights, len(partition.sets)))
+    _, nums, denom = _checked_weights(weights, len(partition.sets))
     signatures = [el.signature for el in partition.elements]
     return [
         (sig, Fraction(total, denom))
@@ -151,14 +154,19 @@ def coverage_values(
 class _RadiusTable:
     """The map r -> mu([p-r, p+r] & a), which is piecewise linear with
     breakpoints at the distances from p to the endpoints of a: the sorted
-    breakpoints r_k, the measure m(r_k) at each, and the slope after each."""
+    breakpoints r_k, the measure m(r_k) at each, and the slope after each.
+    p and the endpoints are scaled by their common denominator, so radii,
+    measures and slopes are ints."""
 
     def __init__(self, a: IntervalSet, p: Fraction):
-        self.a, self.p = a, p
+        self.a = a
+        scaled, self.denom = _common_denominator([p, *(e for iv in a.intervals for e in iv)])
+        self.p = p = scaled[0]
+        self.ends = list(zip(scaled[1::2], scaled[2::2]))
         # each half of each interval, as seen from p, adds slope 1 between
         # the radii of its near and far ends
-        steps: dict[Fraction, int] = {Fraction(0): 0}
-        for x0, x1 in a.intervals:
+        steps: dict[int, int] = {0: 0}
+        for x0, x1 in self.ends:
             halves = []
             if x0 < p:
                 halves.append((p - min(x1, p), p - x0))
@@ -169,7 +177,7 @@ class _RadiusTable:
                 steps[far] = steps.get(far, 0) - 1
         self.radii = sorted(steps)
         self.measures, self.slopes = [], []
-        m, slope, prev = Fraction(0), 0, Fraction(0)
+        m, slope, prev = 0, 0, 0
         for r in self.radii:
             m += slope * (r - prev)
             slope += steps[r]
@@ -177,21 +185,29 @@ class _RadiusTable:
             self.slopes.append(slope)
             prev = r
 
-    def ball_subset(self, t: Fraction) -> list[tuple[Fraction, Fraction]]:
+    def ball_subset(self, num: int, den: int) -> list[tuple[Fraction, Fraction]]:
         """The intervals of a & [p-r, p+r] for the smallest r giving measure
-        t*mu(a), for 0 < t <= 1: find the first m(r_k) >= t*mu(a) and
-        invert the linear piece before it (m(r_0) = 0, so k >= 1)."""
-        target = t * self.measures[-1]
-        k = bisect_left(self.measures, target)
+        t*mu(a), where t = num/den and 0 < t <= 1: find the first m(r_k) >=
+        t*mu(a), which is the first m(r_k) >= its ceiling as the measures
+        are ints, and invert the linear piece before it (m(r_0) = 0, so
+        k >= 1).  The ball is [lo/rd, hi/rd] in scaled units; a Fraction is
+        built only for a ball end that cuts an interval."""
+        target = num * self.measures[-1]
+        k = bisect_left(self.measures, -(-target // den))
         if k == len(self.measures):
             raise ValueError("target measure exceeds the measure of the set")
-        r = self.radii[k - 1] + (target - self.measures[k - 1]) / self.slopes[k - 1]
-        lo, hi = self.p - r, self.p + r
-        return [
-            (max(x0, lo), min(x1, hi))
-            for x0, x1 in self.a.intervals
-            if min(x1, hi) > max(x0, lo)
-        ]
+        slope = self.slopes[k - 1]
+        rd = slope * den
+        rn = self.radii[k - 1] * rd + target - self.measures[k - 1] * den
+        lo, hi = self.p * rd - rn, self.p * rd + rn
+        out_den = rd * self.denom
+        pieces = []
+        for (x0, x1), (y0, y1) in zip(self.a.intervals, self.ends):
+            y0, y1 = y0 * rd, y1 * rd
+            if min(y1, hi) > max(y0, lo):
+                pieces.append((x0 if y0 >= lo else Fraction(lo, out_den),
+                               x1 if y1 <= hi else Fraction(hi, out_den)))
+        return pieces
 
 
 def subset_generate(a: IntervalSet, t, p) -> IntervalSet:
@@ -202,15 +218,18 @@ def subset_generate(a: IntervalSet, t, p) -> IntervalSet:
         raise ValueError(f"t must lie in [0, 1], got {t}")
     if a.is_empty or t == 0:
         return EMPTY
-    return canonicalize(_RadiusTable(a, p).ball_subset(t))
+    return canonicalize(_RadiusTable(a, p).ball_subset(t.numerator, t.denominator))
 
 
 def _tiling_centroid(elements: Sequence[PartitionElement]) -> Fraction:
-    """Centroid of the union of the sets from its first moment, summed over
-    the element regions, which tile the union."""
-    pieces = [iv for el in elements for iv in el.region.intervals]
-    mass = sum((b - a for a, b in pieces), Fraction(0))
-    return sum((b * b - a * a for a, b in pieces), Fraction(0)) / (2 * mass)
+    """Centroid of the union of the sets from its first moment, summed in
+    ints over the element regions, which tile the union."""
+    ends, denom = _common_denominator(
+        [e for el in elements for iv in el.region.intervals for e in iv]
+    )
+    lo, hi = ends[::2], ends[1::2]
+    moment = sum(b * b - a * a for a, b in zip(lo, hi))
+    return Fraction(moment, 2 * denom * (sum(hi) - sum(lo)))
 
 
 class PartitionPlan:
@@ -248,14 +267,14 @@ class PartitionPlan:
     def average(self, weights: Sequence[Fraction]) -> IntervalSet:
         """Weighted average of the plan's sets: from each element, the ball
         subset whose measure is the element's coverage times its measure."""
-        nums, denom = _int_weights(check_weights(weights, len(self.sets)))
+        _, nums, denom = _checked_weights(weights, len(self.sets))
         folded = [0] * len(self.partition.sets)
         for c, v in zip(self._class_of, nums):
             folded[c] += v
         pieces = []
         for k, total in enumerate(_coverage_sums(self._signatures, folded)):
             if total:
-                pieces.extend(self._table(k).ball_subset(Fraction(total, denom)))
+                pieces.extend(self._table(k).ball_subset(total, denom))
         return canonicalize(pieces)
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -124,3 +125,45 @@ def test_nested_distance_is_measure_difference(a, b):
 def test_boolean_ops_canonical(a, b):
     for result in (union(a, b), intersect(a, b), difference(a, b)):
         assert canonicalize(result.intervals) == result
+
+
+# -- integer length sums against plain Fraction sums --------------------------
+
+
+def fraction_length(pieces):
+    return sum((b - a for a, b in pieces), F(0))
+
+
+def fraction_overlap(a, b):
+    return fraction_length(
+        (max(x0, y0), min(x1, y1))
+        for x0, x1 in a.intervals
+        for y0, y1 in b.intervals
+        if max(x0, y0) < min(x1, y1)
+    )
+
+
+def mixed_denominator_set(rng):
+    """A random set whose endpoints mix small, odd, dyadic and large
+    denominators, so their common denominator is not one of them."""
+    dens = [1, 3, 4, 7, 2**60, 3**40, 64**20 * 5]
+    points = sorted({F(rng.randint(0, 40 * d), d) / 4 for d in rng.sample(dens, 3)
+                     for _ in range(rng.randint(0, 3))})
+    if len(points) % 2:
+        points.pop()
+    return canonicalize(zip(points[::2], points[1::2]))
+
+
+def test_lengths_match_fraction_sums():
+    rng = random.Random(5)
+    sets = [EMPTY] + [mixed_denominator_set(rng) for _ in range(80)]
+    for a in sets:
+        assert measure(a) == fraction_length(a.intervals)
+        assert type(measure(a)) is F
+        b = rng.choice(sets)
+        overlap = fraction_overlap(a, b)
+        assert sym_diff_distance(a, b) == fraction_length(a.intervals + b.intervals) - 2 * overlap
+        assert contains_ae(a, b) == (overlap == fraction_length(b.intervals))
+        assert contains_ae(a, intersect(a, b))
+        assert sym_diff_distance(a, EMPTY) == measure(a)
+        assert contains_ae(a, EMPTY)

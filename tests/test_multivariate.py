@@ -98,6 +98,11 @@ class TestRefine:
         with pytest.raises(ValueError, match="levels must be >= 0"):
             refinement_sequence(triangulate(UNIT_SQUARE), -1)
 
+    @pytest.mark.parametrize("levels", [True, 1.0, F(1)], ids=["bool", "float", "fraction"])
+    def test_levels_must_be_an_int(self, levels):
+        with pytest.raises(TypeError, match="levels must be an int"):
+            refinement_sequence(triangulate(UNIT_SQUARE), levels)
+
     def test_point_count_is_old_plus_edges(self):
         t = triangulate(UNIT_SQUARE)
         edges = {tuple(sorted(e)) for i, j, k in t.triangles

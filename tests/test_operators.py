@@ -10,6 +10,7 @@ from setavg.catalog import (
     BUILTIN_SVFS,
     MonotoneReport,
     dyadic_sqrt,
+    holder_bound,
     run_convergence,
     run_monotone_check,
     uniform_grid,
@@ -88,6 +89,16 @@ class TestBernsteinReal:
 
     def test_square(self):
         assert bernstein_real(lambda t: t * t, 2, F(1, 2)) == F(3, 8)
+
+    @pytest.mark.parametrize("n", [1, 7, 64, 128])
+    def test_matches_direct_formula(self, n):
+        for f in (lambda t: abs(t - F(1, 2)), dyadic_sqrt, lambda t: 3 * t * t - F(1, 7)):
+            for x in (F(0), F(1), F(1, 3), F(17, 32), F(63, 64)):
+                direct = sum(
+                    (math.comb(n, i) * x**i * (1 - x) ** (n - i) * f(F(i, n)) for i in range(n + 1)),
+                    F(0),
+                )
+                assert bernstein_real(f, n, x) == direct
 
 
 class TestSchemes:
@@ -201,6 +212,16 @@ def test_booleans_are_not_rationals(call):
 def test_degree_must_be_an_int(call, n):
     with pytest.raises(TypeError, match="degree must be an int"):
         call(n)
+
+
+def test_holder_bound_checks_degree_and_point():
+    with pytest.raises(ValueError, match="degree must be >= 1, got 0"):
+        holder_bound(1, 1, 0, F(1, 2))
+    with pytest.raises(ValueError, match=r"x must lie in \[0, 1\]"):
+        holder_bound(1, 1, 2, F(3, 2))
+    with pytest.raises(TypeError, match="degree must be an int"):
+        holder_bound(1, 1, 2.0, F(1, 2))
+    assert holder_bound(1, 1, 4, F(1, 2)) == 0.25 + 0.25
 
 
 @pytest.mark.parametrize("call", [

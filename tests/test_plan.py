@@ -7,6 +7,7 @@ no code with `PartitionPlan` or the overlap walk, so they stay an
 independent reference.
 """
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -24,11 +25,12 @@ from setavg.intervals import (
     measure,
     sym_diff_distance,
 )
-from setavg.operators import SampledSVF, bernstein_svf, uniform_nodes
+from setavg.operators import SampledSVF, bernstein_svf, bernstein_weights, uniform_nodes
 from setavg.partition import (
     CENTROID_OF_UNION,
     PER_ELEMENT_CENTROID,
     PartitionPlan,
+    check_weights,
     coverage_values,
     fixed_point,
     partition_average,
@@ -41,25 +43,30 @@ from conftest import random_interval_set, random_weights
 ALL_CFGS = [CENTROID_OF_UNION, fixed_point(F(7, 3)), PER_ELEMENT_CENTROID]
 
 
+def ball_measure(a, p, r):
+    """mu([p-r, p+r] & a), one interval at a time."""
+    lo, hi = p - r, p + r
+    return sum((max(F(0), min(x1, hi) - max(x0, lo)) for x0, x1 in a.intervals), F(0))
+
+
+def breakpoint_radii(a, p):
+    return sorted({abs(e - p) for x0, x1 in a.intervals for e in (x0, x1)} | {F(0)})
+
+
 def scan_subset(a, t, p):
     """Ball subset of measure t*mu(a) around p, found by evaluating the
     covered measure at every breakpoint radius."""
     if a.is_empty or t == 0:
         return EMPTY
     target = t * measure(a)
-
-    def covered(r):
-        lo, hi = p - r, p + r
-        return sum((max(F(0), min(x1, hi) - max(x0, lo)) for x0, x1 in a.intervals), F(0))
-
-    radii = sorted({abs(e - p) for x0, x1 in a.intervals for e in (x0, x1)} | {F(0)})
-    prev_r, prev_m = radii[0], covered(radii[0])
+    radii = breakpoint_radii(a, p)
+    prev_r, prev_m = radii[0], ball_measure(a, p, radii[0])
     r = None
     if prev_m >= target:
         r = prev_r
     else:
         for cand in radii[1:]:
-            m = covered(cand)
+            m = ball_measure(a, p, cand)
             if m >= target:
                 slope = (m - prev_m) / (cand - prev_r)
                 r = prev_r + (target - prev_m) / slope
@@ -257,3 +264,73 @@ def test_coverage_values_match_direct_sums(seed):
             assert coverage_values(part, w) == [
                 (el.signature, sum((w[i] for i in el.signature), F(0))) for el in part.elements
             ]
+
+
+def direct_bernstein_weights(n, x):
+    return tuple(math.comb(n, i) * x**i * (1 - x) ** (n - i) for i in range(n + 1))
+
+
+def test_bernstein_weights_match_direct_formula(rng):
+    for n in (1, 2, 7, 64):
+        for x in (F(0), F(1), F(1, 2), F(3, 64), F(rng.randint(1, 98), 99)):
+            assert bernstein_weights(n, x) == direct_bernstein_weights(n, x)
+
+
+def test_plan_matches_scan_at_benchmark_scale():
+    # holder samples at n = 64 carry 2^60 denominators and the Bernstein
+    # weights at odd k/64 carry 64^64 ones, as in the benchmark's sweep
+    holder = catalog.BUILTIN_SVFS["holder"]
+    samples = [holder(x) for x in uniform_nodes(64)]
+    for cfg in ALL_CFGS:
+        plan = PartitionPlan(samples, cfg)
+        for k in (1, 23, 63):
+            w = bernstein_weights(64, F(k, 64))
+            assert plan.average(w) == scan_average(samples, w, cfg)
+
+
+def breakpoint_fractions(a, p):
+    """The t in (0, 1] at which t*mu(a) is the ball measure at a breakpoint
+    radius: the ceiling edge of the radius table's search."""
+    mu = measure(a)
+    return sorted({ball_measure(a, p, r) / mu for r in breakpoint_radii(a, p)} - {F(0)})
+
+
+def test_subset_generate_matches_scan_at_edges(rng):
+    for _ in range(40):
+        a = random_interval_set(rng, span=8, max_intervals=4)
+        ends = [e for iv in a.intervals for e in iv]
+        points = [
+            rng.choice(ends),  # on an endpoint
+            ends[0] - F(rng.randint(1, 8), 3),  # left of the set
+            ends[-1] + F(rng.randint(1, 8), 3),  # right of the set
+            F(rng.randint(-8, 40), 4),
+        ]
+        for p in points:
+            ts = breakpoint_fractions(a, p)
+            ts += [t - F(1, 997) for t in ts if t > F(1, 997)]
+            ts += [t + F(1, 997) for t in ts if t + F(1, 997) <= 1]
+            assert 1 in ts
+            for t in ts:
+                got = subset_generate(a, t, p)
+                assert got == scan_subset(a, t, p)
+                assert measure(got) == t * measure(a)
+
+
+@pytest.mark.parametrize("weights, count, message", [
+    ([F(1, 2)], 2, "need one weight per input: 1 weights for 2 inputs"),
+    ([F(3, 2), F(-1, 2)], 2, "weights must be nonnegative"),
+    ([F(1, 3), F(1, 3)], 2, "weights must sum to 1 exactly, got 2/3"),
+    ([F(2, 3), F(2, 3)], 2, "weights must sum to 1 exactly, got 4/3"),
+    ([1, 1], 2, "weights must sum to 1 exactly, got 2"),
+    ([], 0, "weights must sum to 1 exactly, got 0"),
+])
+def test_check_weights_messages(weights, count, message):
+    with pytest.raises(ValueError) as err:
+        check_weights(weights, count)
+    assert str(err.value) == message
+
+
+def test_check_weights_returns_fractions():
+    w = check_weights([0, "1/4", F(-1, -4), "0.5"], 4)
+    assert w == (0, F(1, 4), F(1, 4), F(1, 2))
+    assert all(type(x) is F for x in w)
